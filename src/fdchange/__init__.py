@@ -18,6 +18,7 @@ from .changepoint import (
     cusum_matrix,
     cvm2d_test,
     estimate_changepoint,
+    sample_cusum,
     z_process,
 )
 from .curves import (

@@ -12,6 +12,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = ["run_replicates"]
 
 
@@ -27,9 +29,9 @@ def run_replicates(
     ``workers > 1``.
     """
     if total < 1:
-        raise ValueError(f"total replicates must be >= 1, got {total}")
+        raise ConfigurationError(f"total replicates must be >= 1, got {total}")
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if workers == 1:
         return np.asarray(worker(0, total))
     n_chunks = min(total, 4 * workers)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .curves import FunctionalSample
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     DegenerateDataError,
     DimensionError,
 )
-from .fpca import ScoreMatrix, compute_scores, sample_eigensystem
+from .fpca import EigenSystem, ScoreMatrix, compute_scores, sample_eigensystem
 from .limitdist import BridgeSupMoments, LimitLaw
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "ProcessGrid",
     "TestOutcome",
     "cusum_matrix",
+    "sample_cusum",
     "z_process",
     "cvm2d_test",
     "corollary_tests",
@@ -162,7 +163,13 @@ class TestOutcome:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
 
-def _eigensystem_for_test(sample: FunctionalSample, d: int):
+def sample_cusum(sample: FunctionalSample, d: int) -> tuple[EigenSystem, CusumMatrix]:
+    """Leading ``d`` components of ``sample`` and the CUSUM of their scores.
+
+    Raises :class:`DegenerateDataError` when fewer than ``d`` survive the floor.
+    """
+    if d < 1:
+        raise ConfigurationError(f"d must be >= 1, got {d}")
     eig = sample_eigensystem(sample, d)
     if eig.d == 0:
         raise DegenerateDataError(
@@ -172,7 +179,7 @@ def _eigensystem_for_test(sample: FunctionalSample, d: int):
         raise DimensionError(
             f"requested d={d} but only {eig.d} components are retained above the floor"
         )
-    return eig
+    return eig, cusum_matrix(compute_scores(sample, eig, d))
 
 
 def _diagnostics(eig) -> dict:
@@ -185,11 +192,7 @@ def _diagnostics(eig) -> dict:
 
 def cvm2d_test(sample: FunctionalSample, d: int, law: LimitLaw) -> TestOutcome:
     """Cramer-von Mises type test: integrated squared Z against the limit law."""
-    if d < 1:
-        raise ConfigurationError(f"d must be >= 1, got {d}")
-    eig = _eigensystem_for_test(sample, d)
-    scores = compute_scores(sample, eig, d)
-    cusum = cusum_matrix(scores)
+    eig, cusum = sample_cusum(sample, d)
     stat = float(_cvm_stats_by_prefix(_braces(cusum.values))[d - 1])
     return TestOutcome(
         method="cvm2d",
@@ -235,7 +238,7 @@ def corollary_tests(
     return TestOutcome(
         method=variant,
         statistic=stat,
-        p_value=float(norm.sf(stat)),
+        p_value=float(ndtr(-stat)),
         d=cusum.d,
         diagnostics={},
     )

@@ -1,8 +1,9 @@
 """Command-line interface: ingestion, tests, simulation, report emission.
 
 Exit codes: 0 success; 2 usage (argparse); 3 parse errors in input files;
-4 configuration/resolution errors; 5 degenerate data (including grid
-mismatches between the two samples of ``two-sample``).
+4 configuration/resolution errors (including a worker count below 1 and an
+unwritable ``--out``); 5 degenerate data (including grid mismatches between
+the two samples of ``two-sample``).
 
 Every randomized command prints the effective seed on stderr so a rerun
 with ``--seed`` reproduces its output byte for byte.
@@ -23,9 +24,9 @@ from .changepoint import (
     COROLLARY_VARIANTS,
     binary_segmentation,
     corollary_tests,
-    cusum_matrix,
     cvm2d_test,
     estimate_changepoint,
+    sample_cusum,
 )
 from .errors import (
     ConfigurationError,
@@ -33,7 +34,7 @@ from .errors import (
     GridMismatchError,
     ParseError,
 )
-from .fpca import compute_scores, sample_eigensystem, variance_explained
+from .fpca import sample_eigensystem, variance_explained
 from .ingest import FLOAT_FORMAT, IngestionConfig, ingest
 from .limitdist import STANDARD_ALPHAS, bridge_sup_moments, simulate_tld
 from .simulation import SimScenario, run_size_power
@@ -82,8 +83,11 @@ def _emit(args, columns: list[str], rows: list[dict], payload: dict) -> None:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {args.out}: {exc}") from exc
 
 
 def _provenance(args, seed: int | None = None) -> dict:
@@ -148,8 +152,6 @@ def _add_law_flags(
                      help="RNG seed (default: fresh entropy, printed to stderr)")
     sub.add_argument("--workers", type=int, default=1,
                      help="parallel worker processes (default 1)")
-    sub.add_argument("--quadrature", choices=("trapezoid",), default="trapezoid",
-                     help="quadrature rule for stored grids (only trapezoid exists)")
 
 
 def _load_sample(args, path: str):
@@ -202,9 +204,8 @@ def _cmd_cpt_test(args) -> int:
         if args.method == "sup-bridge":
             _announce_seed(seed)
             moments = bridge_sup_moments(reps=args.reps, seed=seed, workers=args.workers)
-        eig = sample_eigensystem(sample, args.d)
-        scores = compute_scores(sample, eig, args.d)
-        outcome = corollary_tests(cusum_matrix(scores), args.method, moments)
+        _, cusum = sample_cusum(sample, args.d)
+        outcome = corollary_tests(cusum, args.method, moments)
     row = {
         "method": outcome.method,
         "d": outcome.d,
@@ -221,9 +222,8 @@ def _cmd_cpt_test(args) -> int:
 
 def _cmd_estimate(args) -> int:
     sample = _load_sample(args, args.input)
-    eig = sample_eigensystem(sample, args.d)
-    scores = compute_scores(sample, eig, args.d)
-    theta = estimate_changepoint(cusum_matrix(scores))
+    _, cusum = sample_cusum(sample, args.d)
+    theta = estimate_changepoint(cusum)
     row = {"d": args.d, "n": sample.n_curves, "theta_hat": theta}
     payload = _provenance(args)
     payload.update(row)

@@ -3,9 +3,10 @@
 The integral operator with kernel ``c`` is discretized as W^{1/2} C W^{1/2}
 (W the diagonal weight matrix), a symmetric matrix whose eigenvalues equal the
 operator's and whose eigenvectors, rescaled by W^{-1/2}, are orthonormal under
-the quadrature inner product. A Gram-matrix route (`sample_eigensystem`)
-produces the same decomposition directly from N curves via an N x N solve,
-which is what the simulation loops rely on for speed.
+the quadrature inner product. One Gram-matrix route (`_gram_eigensystem`)
+gets the same decomposition from N weighted curve rows via an N x N solve; it
+serves the sample and the pooled two-sample decompositions and thereby the
+simulation loops.
 """
 
 from __future__ import annotations
@@ -105,6 +106,13 @@ def _fix_signs(functions: np.ndarray) -> np.ndarray:
     return functions * signs[:, None]
 
 
+def _keep_count(eigenvalues: np.ndarray, d_max: int, floor: float | None) -> int:
+    """How many leading eigenvalues survive the floor, capped at ``d_max``."""
+    largest = float(eigenvalues[0]) if eigenvalues.size else 0.0
+    lo = default_eigenvalue_floor(largest) if floor is None else floor
+    return min(d_max, int(np.sum(eigenvalues > lo)))
+
+
 def _build_eigensystem(
     grid: Grid,
     eigenvalues: np.ndarray,
@@ -113,10 +121,7 @@ def _build_eigensystem(
     floor: float | None,
 ) -> EigenSystem:
     """Apply floor/cap/sign conventions to a raw descending eigendecomposition."""
-    largest = float(eigenvalues[0]) if eigenvalues.size else 0.0
-    lo = default_eigenvalue_floor(largest) if floor is None else floor
-    above = int(np.sum(eigenvalues > lo))
-    keep = min(d_max, above)
+    keep = _keep_count(eigenvalues, d_max, floor)
     next_lam = float(eigenvalues[keep]) if keep < eigenvalues.size else None
     return EigenSystem(
         grid=grid,
@@ -154,6 +159,22 @@ def eigendecompose(
     return _build_eigensystem(surface.grid, vals, functions, d_max, floor)
 
 
+def _gram_eigensystem(grid: Grid, rows: np.ndarray, divisor: float, d_max: int) -> EigenSystem:
+    """Eigensystem of the covariance of ``rows`` (curves times W^{1/2}) / ``divisor``.
+
+    Solves the small Gram matrix ``rows @ rows.T / divisor`` and lifts its
+    eigenvectors to quadrature-orthonormal eigenfunctions.
+    """
+    gram = rows @ rows.T / divisor
+    gram = (gram + gram.T) / 2.0
+    vals, vecs = scipy.linalg.eigh(gram)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    keep = _keep_count(vals, d_max, None)
+    lifted = (rows.T @ vecs[:, :keep]) / np.sqrt(divisor * vals[:keep])[None, :]
+    functions = (lifted / np.sqrt(grid.weights)[:, None]).T
+    return _build_eigensystem(grid, vals, functions, d_max, None)
+
+
 def sample_eigensystem(sample: FunctionalSample, d_max: int) -> EigenSystem:
     """Eigensystem of ``empirical_covariance(sample)`` via the N x N Gram matrix.
 
@@ -168,27 +189,8 @@ def sample_eigensystem(sample: FunctionalSample, d_max: int) -> EigenSystem:
 
         return eigendecompose(empirical_covariance(sample), d_max)
     centered = sample.values - sample.values.mean(axis=0)
-    a = centered * np.sqrt(sample.grid.weights)[None, :]
-    gram = a @ a.T / n
-    gram = (gram + gram.T) / 2.0
-    vals, vecs = scipy.linalg.eigh(gram)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    largest = float(vals[0]) if vals.size else 0.0
-    lo = default_eigenvalue_floor(largest)
-    above = int(np.sum(vals > lo))
-    keep = min(d_max, above)
-    # Lift Gram eigenvectors to quadrature-orthonormal eigenfunctions.
-    lifted = (a.T @ vecs[:, :keep]) / np.sqrt(n * vals[:keep])[None, :]
-    functions = (lifted / np.sqrt(sample.grid.weights)[:, None]).T
-    next_lam = float(vals[keep]) if keep < vals.size else None
-    return EigenSystem(
-        grid=sample.grid,
-        eigenvalues=vals[:keep].copy(),
-        functions=_fix_signs(functions),
-        spacings=_spacings(vals[:keep], next_lam),
-        requested=d_max,
-        truncated=keep < d_max,
-    )
+    rows = centered * np.sqrt(sample.grid.weights)[None, :]
+    return _gram_eigensystem(sample.grid, rows, n, d_max)
 
 
 @dataclass(frozen=True, eq=False)

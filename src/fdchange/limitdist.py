@@ -117,10 +117,14 @@ class LimitLaw:
             raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
         return float(np.quantile(self.samples, 1.0 - alpha))
 
-    def p_value(self, statistic: float) -> float:
-        """Add-one smoothed Monte Carlo p-value (1 + #exceed) / (1 + reps)."""
-        exceed = self.reps - int(np.searchsorted(self.samples, statistic, side="right"))
-        return (1 + exceed) / (1 + self.reps)
+    def p_value(self, statistic: float | np.ndarray) -> float | np.ndarray:
+        """Add-one smoothed Monte Carlo p-value (1 + #exceed) / (1 + reps).
+
+        A scalar statistic gives a float, an array an array of the same shape.
+        """
+        exceed = self.reps - np.searchsorted(self.samples, statistic, side="right")
+        p = (1 + exceed) / (1 + self.reps)
+        return float(p) if np.ndim(p) == 0 else p
 
 
 def _tld_chunk(seed: int, lam: np.ndarray, nu: np.ndarray, start: int, stop: int) -> np.ndarray:

@@ -14,16 +14,21 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ._parallel import run_replicates
 from ._rng import replicate_rng
-from .changepoint import _braces, _bridge_squares, _cvm_stats_by_prefix, cusum_matrix
+from .changepoint import (
+    _braces,
+    _bridge_squares,
+    _corollary_statistic,
+    _cvm_stats_by_prefix,
+    sample_cusum,
+)
 from .curves import FunctionalSample, Grid
-from .errors import ConfigurationError, DegenerateDataError
-from .fpca import compute_scores, sample_eigensystem
+from .errors import ConfigurationError
 from .limitdist import BridgeSupMoments, LimitLaw
-from .twosample import pooled_eigensystem
+from .twosample import _checked_pooled_eigensystem, _projected_statistic
 
 __all__ = [
     "SimScenario",
@@ -154,19 +159,11 @@ def _changepoint_chunk(
         values = _bm_values(rng, scenario.n, scenario.grid_size)
         if scenario.a != 0.0 and scenario.k_star is not None:
             values[scenario.k_star :] += bump
-        sample = FunctionalSample(grid, values)
-        eig = sample_eigensystem(sample, d_max)
-        if eig.d < d_max:
-            raise DegenerateDataError(
-                f"replicate {r}: only {eig.d} components above floor, need {d_max}"
-            )
-        cusum = cusum_matrix(compute_scores(sample, eig, d_max))
+        _, cusum = sample_cusum(FunctionalSample(grid, values), d_max)
         if test == "cvm2d":
             stats = _cvm_stats_by_prefix(_braces(cusum.values))
             out[r - start] = stats[[d - 1 for d in scenario.d_list]]
         else:
-            from .changepoint import _corollary_statistic
-
             bridge_sq = _bridge_squares(cusum.values)
             for j, d in enumerate(scenario.d_list):
                 out[r - start, j] = _corollary_statistic(test, bridge_sq, d, moments)
@@ -188,19 +185,9 @@ def _twosample_chunk(scenario: SimScenario, start: int, stop: int) -> np.ndarray
             y_values += bump
         x = FunctionalSample(grid, x_values)
         y = FunctionalSample(grid, y_values)
-        pooled = pooled_eigensystem(x, y, d_max)
-        eig = pooled.eigen
-        if eig.d < d_max:
-            raise DegenerateDataError(
-                f"replicate {r}: only {eig.d} pooled components, need {d_max}"
-            )
-        delta = x_values.mean(axis=0) - y_values.mean(axis=0)
-        proj = eig.functions @ (grid.weights * delta)
-        terms = scenario.n * proj**2 / eig.eigenvalues
-        cum = np.cumsum(terms)
-        d_arr = np.arange(1, d_max + 1)
-        z_all = (cum - d_arr) / np.sqrt(2.0 * d_arr)
-        out[r - start] = z_all[[d - 1 for d in scenario.d_list]]
+        eig = _checked_pooled_eigensystem(x, y, d_max).eigen
+        for j, d in enumerate(scenario.d_list):
+            out[r - start, j] = _projected_statistic(x, y, eig, d)[1]
     return out
 
 
@@ -221,7 +208,7 @@ def run_size_power(
         stats = run_replicates(
             partial(_twosample_chunk, scenario), scenario.reps, workers
         )
-        p_values = norm.sf(stats)
+        p_values = ndtr(-stats)
     elif test in CHANGEPOINT_TESTS:
         if test == "cvm2d":
             if law is None:
@@ -233,12 +220,7 @@ def run_size_power(
             scenario.reps,
             workers,
         )
-        if test == "cvm2d":
-            assert law is not None
-            exceed = law.reps - np.searchsorted(law.samples, stats, side="right")
-            p_values = (1 + exceed) / (1 + law.reps)
-        else:
-            p_values = norm.sf(stats)
+        p_values = law.p_value(stats) if test == "cvm2d" else ndtr(-stats)
     else:
         raise ConfigurationError(f"unknown test {test!r}")
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .curves import (
     CovarianceSurface,
@@ -19,7 +18,7 @@ from .curves import (
     require_same_grid,
 )
 from .errors import ConfigurationError, DegenerateDataError, DimensionError
-from .fpca import EigenSystem, _build_eigensystem, eigendecompose
+from .fpca import EigenSystem, _gram_eigensystem, eigendecompose
 
 __all__ = [
     "PooledEigen",
@@ -85,23 +84,13 @@ def pooled_eigensystem(
     xc = (x.values - x.values.mean(axis=0)) * w_half[None, :]
     yc = (y.values - y.values.mean(axis=0)) * w_half[None, :]
     stacked = np.vstack([xc / np.sqrt(n), yc * (np.sqrt(n) / m)])
-    gram = stacked @ stacked.T
-    gram = (gram + gram.T) / 2.0
-    vals, vecs = scipy.linalg.eigh(gram)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    from .fpca import default_eigenvalue_floor
-
-    keep = min(d_max, int(np.sum(vals > default_eigenvalue_floor(float(vals[0])))))
-    lifted = (stacked.T @ vecs[:, :keep]) / np.sqrt(vals[:keep])[None, :]
-    functions = (lifted / w_half[:, None]).T
-    eig = _build_eigensystem(x.grid, vals, functions, d_max, None)
-    return PooledEigen(eig, ratio)
+    return PooledEigen(_gram_eigensystem(x.grid, stacked, 1, d_max), ratio)
 
 
-def two_sample_test(
+def _checked_pooled_eigensystem(
     x: FunctionalSample, y: FunctionalSample, d: int
-) -> TwoSampleOutcome:
-    """Compare sample means in the leading d pooled components."""
+) -> PooledEigen:
+    """Pooled components with at least ``d`` retained, or the matching error."""
     if d < 1:
         raise ConfigurationError(f"d must be >= 1, got {d}")
     pooled = pooled_eigensystem(x, y, d)
@@ -114,14 +103,30 @@ def two_sample_test(
         raise DimensionError(
             f"requested d={d} but only {eig.d} pooled components are available"
         )
+    return pooled
+
+
+def _projected_statistic(
+    x: FunctionalSample, y: FunctionalSample, eig: EigenSystem, d: int
+) -> tuple[float, float]:
+    """The quadratic form D = N sum_{j<=d} proj_j^2 / lambda_j and its z-score."""
     delta = x.values.mean(axis=0) - y.values.mean(axis=0)
     proj = eig.functions[:d] @ (x.grid.weights * delta)
     statistic = float(x.n_curves * np.sum(proj**2 / eig.eigenvalues[:d]))
-    z = (statistic - d) / np.sqrt(2.0 * d)
+    return statistic, float((statistic - d) / np.sqrt(2.0 * d))
+
+
+def two_sample_test(
+    x: FunctionalSample, y: FunctionalSample, d: int
+) -> TwoSampleOutcome:
+    """Compare sample means in the leading d pooled components."""
+    pooled = _checked_pooled_eigensystem(x, y, d)
+    eig = pooled.eigen
+    statistic, z = _projected_statistic(x, y, eig, d)
     return TwoSampleOutcome(
         statistic=statistic,
-        z_score=float(z),
-        p_value=float(norm.sf(z)),
+        z_score=z,
+        p_value=float(ndtr(-z)),
         d=d,
         diagnostics={
             "eigenvalues": eig.eigenvalues[:d].copy(),

@@ -332,6 +332,28 @@ class TestExitCodes:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_bad_worker_count_is_exit_4(self, capsys, cli_files, workers):
+        code, _, err = run_cli(
+            capsys, "critical-values", "--reps", "200", "--seed", "1", "--workers", workers
+        )
+        assert code == 4 and "workers" in err
+        code, _, err = run_cli(
+            capsys, "cpt-test", str(cli_files / "x.csv"), *RAW, "--reps", "200",
+            "--seed", "1", "--workers", workers,
+        )
+        assert code == 4 and "workers" in err
+
+    def test_unwritable_out_is_exit_4(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "critical-values", "--reps", "200", "--seed", "1",
+            "--out", str(tmp_path / "missing" / "cv.csv"),
+        )
+        assert code == 4 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0] == "seed: 1"
+        assert lines[1].startswith("error: cannot write")
+
     def test_usage_errors_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main([])
@@ -341,6 +363,9 @@ class TestExitCodes:
         assert info.value.code == 2
         with pytest.raises(SystemExit) as info:
             main(["critical-values", "--quadrature", "simpson"])
+        assert info.value.code == 2
+        with pytest.raises(SystemExit) as info:
+            main(["critical-values", "--quadrature", "trapezoid"])
         assert info.value.code == 2
         capsys.readouterr()
 
@@ -360,6 +385,16 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "fdchange" in proc.stdout
+
+    def test_cli_import_skips_scipy_stats(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fdchange.cli; sys.exit('scipy.stats' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_module_invocation(self):
         proc = subprocess.run(

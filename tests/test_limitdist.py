@@ -104,6 +104,11 @@ class TestSimulateTld:
         # A statistic sitting exactly on an order statistic counts ties as
         # non-exceeding.
         assert law20k.p_value(float(law20k.samples[-3])) == 3.0 / (reps + 1)
+        assert type(law20k.p_value(0.05)) is float
+        stats = np.array([[-1.0, 0.02], [0.05, float(law20k.samples[-3])]])
+        vector = law20k.p_value(stats)
+        assert vector.shape == stats.shape
+        assert vector.tolist() == [[law20k.p_value(float(v)) for v in row] for row in stats]
 
     def test_rejects_tiny_reps(self):
         with pytest.raises(ConfigurationError):

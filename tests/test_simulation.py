@@ -15,6 +15,7 @@ from fdchange.simulation import (
     inject_shift,
     run_size_power,
 )
+from fdchange.twosample import two_sample_test
 
 from conftest import WORKERS
 
@@ -161,6 +162,36 @@ class TestRunSizePower:
                     rejections[d] += 1
         assert report.p_hat(3, 0.05) == rejections[3] / 12
         assert report.p_hat(5, 0.05) == rejections[5] / 12
+
+    @pytest.mark.parametrize(
+        "n, m, grid_size",
+        [(20, 25, 80), (40, 30, 50)],  # N + M <= T: Gram route; N + M > T: surface route
+    )
+    def test_two_sample_replicates_match_public_test_function(self, n, m, grid_size):
+        scenario = SimScenario(
+            n=n, m=m, grid_size=grid_size, a=0.8, d_list=(2, 4),
+            alpha_list=(0.05, 0.2), reps=12, seed=78,
+        )
+        report = run_size_power(scenario, "two-sample")
+        grid = Grid.uniform(grid_size + 1)
+        bump = 0.8 * grid.points * (1.0 - grid.points)
+
+        def brownian(rng, count):
+            increments = rng.standard_normal((count, grid_size)) / np.sqrt(grid_size)
+            return np.hstack([np.zeros((count, 1)), np.cumsum(increments, axis=1)])
+
+        rejections = {(d, a): 0 for d in (2, 4) for a in (0.05, 0.2)}
+        for r in range(12):
+            rng = replicate_rng(78, r)
+            x = FunctionalSample(grid, brownian(rng, n))
+            y = FunctionalSample(grid, brownian(rng, m) + bump)
+            for d in (2, 4):
+                p = two_sample_test(x, y, d).p_value
+                for a in (0.05, 0.2):
+                    rejections[d, a] += p < a
+        assert 0 < sum(rejections.values()) < 48
+        for (d, a), count in rejections.items():
+            assert report.p_hat(d, a) == count / 12
 
     def test_power_increases_with_shift_size(self, law20k):
         common = dict(n=60, grid_size=100, k_star=30, d_list=(5,), reps=200, seed=13)
