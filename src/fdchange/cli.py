@@ -1,12 +1,13 @@
 """Command-line interface: ingestion, tests, simulation, report emission.
 
 Exit codes: 0 success; 2 usage (argparse); 3 parse errors in input files;
-4 configuration/resolution errors (including a worker count below 1 and an
-unwritable ``--out``); 5 degenerate data (including grid mismatches between
-the two samples of ``two-sample``).
+4 configuration/resolution errors (including a worker count below 1, a
+negative ``--seed`` and an unwritable ``--out``); 5 degenerate data
+(including grid mismatches between the two samples of ``two-sample``).
 
 Every randomized command prints the effective seed on stderr so a rerun
-with ``--seed`` reproduces its output byte for byte.
+with ``--seed`` reproduces its output byte for byte, and then checks that
+``--out`` can be written before it draws anything.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -90,6 +92,22 @@ def _emit(args, columns: list[str], rows: list[dict], payload: dict) -> None:
             raise ConfigurationError(f"cannot write {args.out}: {exc}") from exc
 
 
+def _check_out(path: str) -> None:
+    """Fail now, not after the simulation, if ``_emit`` could not write ``path``."""
+    if path == "-":
+        return
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(folder):
+        problem = f"no directory {folder}"
+    elif not os.access(folder, os.W_OK):
+        problem = f"directory {folder} is not writable"
+    else:
+        return
+    raise ConfigurationError(f"cannot write {path}: {problem}")
+
+
 def _provenance(args, seed: int | None = None) -> dict:
     out = {"version": __version__, "command": args.command}
     if seed is not None:
@@ -97,8 +115,12 @@ def _provenance(args, seed: int | None = None) -> dict:
     return out
 
 
-def _announce_seed(seed: int) -> None:
+def _start_draws(args) -> int:
+    """Resolve and announce the seed of a randomized command, then check --out."""
+    seed = resolve_seed(args.seed)
     print(f"seed: {seed}", file=sys.stderr)
+    _check_out(args.out)
+    return seed
 
 
 def _basis_size(text: str):
@@ -168,8 +190,7 @@ def _load_sample(args, path: str):
 
 
 def _cmd_critical_values(args) -> int:
-    seed = resolve_seed(args.seed)
-    _announce_seed(seed)
+    seed = _start_draws(args)
     law = simulate_tld(
         truncation=args.truncation,
         reps=args.reps,
@@ -194,15 +215,13 @@ def _cmd_critical_values(args) -> int:
 
 def _cmd_cpt_test(args) -> int:
     sample = _load_sample(args, args.input)
-    seed = resolve_seed(args.seed)
+    seed = _start_draws(args) if args.method in ("cvm2d", "sup-bridge") else None
     if args.method == "cvm2d":
-        _announce_seed(seed)
         law = simulate_tld(args.truncation, args.reps, seed=seed, workers=args.workers)
         outcome = cvm2d_test(sample, args.d, law)
     else:
         moments = None
         if args.method == "sup-bridge":
-            _announce_seed(seed)
             moments = bridge_sup_moments(reps=args.reps, seed=seed, workers=args.workers)
         _, cusum = sample_cusum(sample, args.d)
         outcome = corollary_tests(cusum, args.method, moments)
@@ -213,7 +232,7 @@ def _cmd_cpt_test(args) -> int:
         "statistic": outcome.statistic,
         "p_value": outcome.p_value,
     }
-    payload = _provenance(args, seed if args.method in ("cvm2d", "sup-bridge") else None)
+    payload = _provenance(args, seed)
     payload.update(row)
     payload["diagnostics"] = _jsonable(outcome.diagnostics)
     _emit(args, ["method", "d", "n", "statistic", "p_value"], [row], payload)
@@ -233,8 +252,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_segment(args) -> int:
     sample = _load_sample(args, args.input)
-    seed = resolve_seed(args.seed)
-    _announce_seed(seed)
+    seed = _start_draws(args)
     law = simulate_tld(args.truncation, args.reps, seed=seed, workers=args.workers)
     tree = binary_segmentation(
         sample, args.d_list, args.alpha, law, min_segment=args.min_segment
@@ -268,8 +286,7 @@ def _cmd_two_sample(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    seed = resolve_seed(args.seed)
-    _announce_seed(seed)
+    seed = _start_draws(args)
     k_star = args.k_star
     if args.a != 0.0 and k_star is None and args.test != "two-sample":
         k_star = args.n // 2

@@ -129,10 +129,11 @@ class LimitLaw:
 
 def _tld_chunk(seed: int, lam: np.ndarray, nu: np.ndarray, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
-    shape = (lam.size, nu.size)
-    for r in range(start, stop):
-        g = replicate_rng(seed, r).standard_normal(shape)
-        out[r - start] = lam @ (g * g) @ nu
+    g = np.empty((lam.size, nu.size))
+    for i, r in enumerate(range(start, stop)):
+        replicate_rng(seed, r).standard_normal(out=g)
+        np.multiply(g, g, out=g)
+        out[i] = lam @ g @ nu
     return out
 
 

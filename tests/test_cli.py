@@ -354,6 +354,39 @@ class TestExitCodes:
         assert len(lines) == 2 and lines[0] == "seed: 1"
         assert lines[1].startswith("error: cannot write")
 
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["no-dir", "is-dir"])
+    def test_unwritable_out_fails_before_the_law_is_drawn(
+        self, capsys, cli_files, tmp_path, monkeypatch, target
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the limit law was simulated")
+
+        monkeypatch.setattr("fdchange.cli.simulate_tld", no_draws)
+        out = str(tmp_path / target)
+        for command in ("cpt-test", "segment"):
+            code, stdout, err = run_cli(
+                capsys, command, str(cli_files / "x.csv"), *RAW, "--seed", "2", "--out", out
+            )
+            assert code == 4 and stdout == ""
+            lines = err.splitlines()
+            assert len(lines) == 2 and lines[0] == "seed: 2"
+            assert lines[1].startswith("error: cannot write")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("critical-values", "--reps", "200"),
+            ("cpt-test", "{x}", *RAW, "--method", "sup-bridge", "--reps", "2000"),
+            ("simulate", "--n", "20", "--grid-size", "50", "--reps", "5", "--law-reps", "200"),
+        ],
+        ids=["critical-values", "sup-bridge", "simulate"],
+    )
+    def test_negative_seed_is_exit_4(self, capsys, cli_files, argv):
+        argv = [a.format(x=cli_files / "x.csv") for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 4 and out == ""
+        assert err.startswith("error:") and "seed" in err
+
     def test_usage_errors_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main([])

@@ -126,6 +126,27 @@ class TestGammaRepresentation:
         )
         assert float(draws.mean()) == pytest.approx(1.0 / 30.0, rel=0.10)
 
+    def test_replicate_streams_match_documented_scheme(self):
+        # Replicate r draws its (grid_u, grid_x - 1) sheet increments from
+        # Generator(Philox(seed).jumped(r)); rebuild the field independently.
+        grid_u, grid_x = 50, 60
+        draws = simulate_gamma_functional(grid_u=grid_u, grid_x=grid_x, reps=100, seed=23)
+        x = np.linspace(0.0, 1.0, grid_x + 1)[1:-1]
+        dy = np.diff((x / (1.0 - x)) ** 2, prepend=0.0)
+        u_axis = np.linspace(0.0, 1.0, grid_u + 1)
+        x_axis = np.linspace(0.0, 1.0, grid_x + 1)
+        expected = []
+        for r in range(100):
+            rng = np.random.Generator(np.random.Philox(23).jumped(r))
+            steps = rng.standard_normal((grid_u, grid_x - 1)) * np.sqrt(dy / grid_u)
+            field = np.zeros((grid_u + 1, grid_x + 1))
+            field[1:, 1:-1] = (
+                math.sqrt(2.0) * (1.0 - x) ** 2 * steps.cumsum(axis=0).cumsum(axis=1)
+            )
+            inner = np.trapezoid(field**2, x_axis, axis=1)
+            expected.append(np.trapezoid(inner, u_axis))
+        np.testing.assert_allclose(draws, expected, rtol=1e-12, atol=0.0)
+
     def test_agrees_with_series_sampler_upper_quantile(self, law20k):
         draws = simulate_gamma_functional(
             grid_u=150, grid_x=150, reps=4000, seed=6, workers=WORKERS
@@ -166,6 +187,18 @@ class TestBridgeSupMoments:
             for s in range(40)
         ]
         assert np.std(fine) < 0.85 * np.std(coarse)
+
+    def test_replicate_streams_match_documented_scheme(self):
+        # Replicate r walks on the normals of Generator(Philox(seed).jumped(r)).
+        moments = bridge_sup_moments(reps=1000, grid_size=500, seed=31, workers=2)
+        t = np.arange(1, 501) / 500
+        sups = []
+        for r in range(1000):
+            steps = np.random.Generator(np.random.Philox(31).jumped(r)).standard_normal(500)
+            walk = steps.cumsum() / math.sqrt(500)
+            sups.append(np.max((walk - t * walk[-1]) ** 2))
+        assert moments.mu0 == pytest.approx(np.mean(sups), rel=1e-12)
+        assert moments.sigma0 == pytest.approx(np.std(sups, ddof=1), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
