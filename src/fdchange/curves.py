@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, InsufficientSampleError
+from .errors import DegenerateDataError, GridMismatchError, InsufficientSampleError
 
 __all__ = [
     "Grid",
@@ -192,6 +192,13 @@ def sample_mean(sample: FunctionalSample) -> Curve:
     return Curve(sample.grid, sample.values.mean(axis=0))
 
 
+def _finite_covariance(values: np.ndarray) -> np.ndarray:
+    """``values``, a covariance built from data, unless it overflowed float64."""
+    if not np.all(np.isfinite(values)):
+        raise DegenerateDataError("the covariance overflows float64; rescale the curves")
+    return values
+
+
 def empirical_covariance(sample: FunctionalSample) -> CovarianceSurface:
     """Empirical covariance surface with divisor N (not N-1)."""
     n = sample.n_curves
@@ -201,4 +208,4 @@ def empirical_covariance(sample: FunctionalSample) -> CovarianceSurface:
     surface = centered.T @ centered / n
     # Exact symmetry regardless of BLAS rounding order.
     surface = (surface + surface.T) / 2.0
-    return CovarianceSurface(sample.grid, surface)
+    return CovarianceSurface(sample.grid, _finite_covariance(surface))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .curves import CovarianceSurface, Curve, FunctionalSample, Grid
+from .curves import CovarianceSurface, Curve, FunctionalSample, Grid, _finite_covariance
 from .errors import ConfigurationError, DegenerateDataError, DimensionError
 
 __all__ = [
@@ -166,7 +166,7 @@ def _gram_eigensystem(grid: Grid, rows: np.ndarray, divisor: float, d_max: int) 
     eigenvectors to quadrature-orthonormal eigenfunctions.
     """
     gram = rows @ rows.T / divisor
-    gram = (gram + gram.T) / 2.0
+    gram = _finite_covariance((gram + gram.T) / 2.0)
     vals, vecs = scipy.linalg.eigh(gram)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     keep = _keep_count(vals, d_max, None)

@@ -7,12 +7,18 @@ Two layouts are understood:
 * ``long``: a header ``curve_id,t,value`` followed by one observation per row,
   curves ordered by first appearance.
 
+``NA``, ``nan`` and blank cells are missing values; an infinite value or a
+number beyond the float range is a ParseError that names its line and column.
+
 With smoothing enabled each curve is fit by least squares on the Fourier
 basis {1, sqrt(2) sin(2 pi k t), sqrt(2) cos(2 pi k t)} over t rescaled to
 [0, 1] and re-evaluated on a uniform analysis grid. A t column consisting of
 day-of-year integers is recognized: day 366 is dropped and day k maps to
-(k - 1) / 364. With ``basis_size=None`` the values are taken as-is on the
-header grid (rows layout), which round-trips ``write_sample_csv`` exactly.
+(k - 1) / 364. One design matrix is built on the distinct pooled points, and
+each curve's least-squares fit uses the rows of its own points, so a curve
+gets the same bits as from a design of its own. With ``basis_size=None`` the
+values are taken as-is on the header grid, whose points must run from 0 to
+1; that round-trips ``write_sample_csv`` exactly.
 """
 
 from __future__ import annotations
@@ -76,13 +82,34 @@ def fourier_design(t: np.ndarray, basis_size: int) -> np.ndarray:
 
 
 def _parse_float(cell: str, where: str) -> float:
+    """Slow path of the cell parser, for cells that ``float`` rejects or reads
+    as non-finite: ``NA``, blank and ``nan`` cells are missing (nan), and any
+    other cell that is not a finite number is a ParseError at ``where``.
+
+    The readers call ``float(cell)`` first and come here only for those cells,
+    so ``where`` is formatted only for them.
+    """
     value = cell.strip()
     if not value or value.lower() in ("na", "nan"):
         return math.nan
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ParseError(f"{where}: cannot parse {cell!r} as a number") from None
+    if math.isinf(number):
+        raise ParseError(f"{where}: non-finite number {cell!r}")
+    return number
+
+
+def _parse_row(cells: list[str], where) -> np.ndarray:
+    """The cells of one CSV row as floats; ``where(i)`` names cell i in errors."""
+    try:
+        values = np.array([float(c) for c in cells])
+    except ValueError:
+        values = None
+    if values is None or np.isinf(values).any():
+        values = np.array([_parse_float(c, where(i)) for i, c in enumerate(cells)])
+    return values
 
 
 def _read_rows_layout(path: str) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -92,7 +119,7 @@ def _read_rows_layout(path: str) -> tuple[np.ndarray, list[np.ndarray]]:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        t = np.array([_parse_float(c, f"{path}: header column {i}") for i, c in enumerate(header)])
+        t = _parse_row(header, lambda i: f"{path}: header column {i}")
         if t.size < 2 or np.any(np.isnan(t)):
             raise ParseError(f"{path}: header must list at least 2 numeric observation points")
         rows = []
@@ -104,11 +131,7 @@ def _read_rows_layout(path: str) -> tuple[np.ndarray, list[np.ndarray]]:
                     f"{path}: curve {len(rows)} (line {line_no}) has {len(row)} values, "
                     f"expected {t.size}"
                 )
-            rows.append(
-                np.array(
-                    [_parse_float(c, f"{path}: line {line_no}, column {i}") for i, c in enumerate(row)]
-                )
-            )
+            rows.append(_parse_row(row, lambda i: f"{path}: line {line_no}, column {i}"))
     if not rows:
         raise ParseError(f"{path}: no curves found")
     return t, rows
@@ -125,30 +148,44 @@ def _read_long_layout(path: str) -> tuple[list[str], list[np.ndarray], list[np.n
             raise ParseError(
                 f"{path}: long layout needs exactly 3 columns (curve_id, t, value)"
             )
-        order: list[str] = []
-        per_curve: dict[str, tuple[list[float], list[float]]] = {}
+        ids: list[str] = []
+        ts: list[list[float]] = []
+        vs: list[list[float]] = []
+        # Raw id cells and stripped ids both map to their curve, so each
+        # distinct raw id is stripped once and " c1" joins "c1".
+        curve_of: dict[str, int] = {}
         for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
             if len(row) != 3:
+                if not row:
+                    continue
                 raise ParseError(f"{path}: line {line_no} has {len(row)} fields, expected 3")
-            cid = row[0].strip()
-            if not cid:
-                raise ParseError(f"{path}: line {line_no}: empty curve id")
-            t = _parse_float(row[1], f"{path}: line {line_no}, t")
-            v = _parse_float(row[2], f"{path}: line {line_no}, value")
-            if math.isnan(t):
-                raise ParseError(f"{path}: line {line_no}: missing observation point")
-            if cid not in per_curve:
-                per_curve[cid] = ([], [])
-                order.append(cid)
-            per_curve[cid][0].append(t)
-            per_curve[cid][1].append(v)
-    if not order:
+            raw_id, t_cell, v_cell = row
+            curve = curve_of.get(raw_id)
+            if curve is None:
+                cid = raw_id.strip()
+                if not cid:
+                    raise ParseError(f"{path}: line {line_no}: empty curve id")
+                curve = curve_of.get(cid)
+                if curve is None:
+                    curve = curve_of[cid] = len(ids)
+                    ids.append(cid)
+                    ts.append([])
+                    vs.append([])
+                curve_of[raw_id] = curve
+            try:
+                t, v = float(t_cell), float(v_cell)
+            except ValueError:  # NA, blank or malformed: the slow path below
+                t = v = math.nan
+            if not (math.isfinite(t) and math.isfinite(v)):
+                t = _parse_float(t_cell, f"{path}: line {line_no}, t")
+                v = _parse_float(v_cell, f"{path}: line {line_no}, value")
+                if math.isnan(t):
+                    raise ParseError(f"{path}: line {line_no}: missing observation point")
+            ts[curve].append(t)
+            vs[curve].append(v)
+    if not ids:
         raise ParseError(f"{path}: no curves found")
-    ts = [np.array(per_curve[cid][0]) for cid in order]
-    vs = [np.array(per_curve[cid][1]) for cid in order]
-    return order, ts, vs
+    return ids, [np.array(t) for t in ts], [np.array(v) for v in vs]
 
 
 def _looks_like_day_of_year(all_t: np.ndarray) -> bool:
@@ -161,6 +198,8 @@ def _looks_like_day_of_year(all_t: np.ndarray) -> bool:
 def _rescale_times(ts: list[np.ndarray], masks_values: list[np.ndarray]):
     """Map observation times to [0, 1]; drop day-366 entries when day-of-year."""
     pooled = np.concatenate(ts)
+    if not pooled.size:  # no curve kept a point; the caller rejects them
+        return list(ts), list(masks_values)
     if _looks_like_day_of_year(pooled):
         out_t, out_v = [], []
         for t, v in zip(ts, masks_values):
@@ -201,17 +240,37 @@ def _smooth(
             )
     grid = Grid.uniform(config.grid_size)
     eval_design = fourier_design(grid.points, config.basis_size)
+    # One design on the distinct pooled points, told apart by bit pattern, so
+    # the rows a curve gathers are bitwise the rows of its own design.
+    bits = np.unique(np.concatenate(cleaned_t).view(np.int64))
+    design = fourier_design(bits.view(np.float64), config.basis_size)
     values = np.empty((len(cleaned_t), config.grid_size))
-    cache: dict[bytes, np.ndarray] = {}
     for i, (t, v) in enumerate(zip(cleaned_t, cleaned_v)):
-        key = t.tobytes()
-        design = cache.get(key)
-        if design is None:
-            design = fourier_design(t, config.basis_size)
-            cache[key] = design
-        coef, *_ = np.linalg.lstsq(design, v, rcond=None)
+        rows = np.searchsorted(bits, t.view(np.int64))
+        coef, *_ = np.linalg.lstsq(design[rows], v, rcond=None)
         values[i] = eval_design @ coef
+    overflowed = ~np.isfinite(values).all(axis=1)
+    if overflowed.any():
+        raise ParseError(
+            f"curve {labels[int(np.argmax(overflowed))]}: values too large to smooth in float64"
+        )
     return FunctionalSample(grid, values)
+
+
+def _raw_grid(points: np.ndarray, what: str) -> Grid:
+    """The grid of raw ingestion: ``points`` as given, which must run from 0 to 1."""
+    if points.size < 2:
+        raise ParseError(f"{what}: raw ingestion needs at least 2 of them")
+    if np.any(np.diff(points) <= 0):
+        raise ParseError(f"{what} must be strictly increasing")
+    try:
+        return Grid.from_points(points)
+    except ValueError:
+        raise ParseError(
+            f"{what} run from {float(points[0])!r} to {float(points[-1])!r}; raw ingestion "
+            "needs points in [0, 1] that start at 0 and end at 1, and does not rescale "
+            "them (smoothing does)"
+        ) from None
 
 
 def ingest(path: str, config: IngestionConfig = IngestionConfig()) -> FunctionalSample:
@@ -226,9 +285,7 @@ def ingest(path: str, config: IngestionConfig = IngestionConfig()) -> Functional
                 raise ParseError(
                     f"{path}: curve {bad} has missing values; raw ingestion needs a full matrix"
                 )
-            if np.any(np.diff(t) <= 0):
-                raise ParseError(f"{path}: header points must be strictly increasing")
-            return FunctionalSample(Grid.from_points(t), values)
+            return FunctionalSample(_raw_grid(t, f"{path}: header points"), values)
         ts = [t.copy() for _ in rows]
         return _smooth(labels, ts, rows, config)
     labels, ts, vs = _read_long_layout(path)
@@ -242,9 +299,7 @@ def ingest(path: str, config: IngestionConfig = IngestionConfig()) -> Functional
         values = np.vstack(vs)
         if np.any(np.isnan(values)):
             raise ParseError("missing values present; raw ingestion needs a full matrix")
-        if np.any(np.diff(ref) <= 0):
-            raise ParseError("observation points must be strictly increasing")
-        return FunctionalSample(Grid.from_points(ref), values)
+        return FunctionalSample(_raw_grid(ref, f"{path}: observation points"), values)
     return _smooth(labels, ts, vs, config)
 
 

@@ -59,12 +59,12 @@ class TwoSampleOutcome:
 def pooled_covariance(x: FunctionalSample, y: FunctionalSample) -> CovarianceSurface:
     """c_N + (N/M) c*_M on the shared grid."""
     require_same_grid(x.grid, y.grid, "pooled_covariance")
-    from .curves import empirical_covariance
+    from .curves import _finite_covariance, empirical_covariance
 
     cx = empirical_covariance(x).values
     cy = empirical_covariance(y).values
     ratio = x.n_curves / y.n_curves
-    return CovarianceSurface(x.grid, cx + ratio * cy)
+    return CovarianceSurface(x.grid, _finite_covariance(cx + ratio * cy))
 
 
 def pooled_eigensystem(

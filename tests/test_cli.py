@@ -315,6 +315,46 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "estimate", str(bad), *RAW)
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "layout, text",
+        [
+            ("rows", "0,0.5,1\n1,{x},3\n4,5,6\n"),
+            ("rows", "0,{x},1\n1,2,3\n4,5,6\n"),
+            ("long", "curve_id,t,value\na,0,1\na,0.5,{x}\nb,0,1\nb,0.5,2\n"),
+            ("long", "curve_id,t,value\na,0,1\na,{x},2\nb,0,1\nb,0.5,2\n"),
+        ],
+        ids=["rows-value", "rows-header", "long-value", "long-t"],
+    )
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_is_parse_error(self, capsys, tmp_path, layout, text, token):
+        bad = tmp_path / "inf.csv"
+        bad.write_text(text.format(x=token))
+        code, out, err = run_cli(
+            capsys, "fpca-summary", str(bad), "--layout", layout, "--basis-size", "3",
+            "--grid-size", "5", "--d", "1",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {bad}: line ") or err.startswith(f"error: {bad}: header")
+        assert "non-finite number" in err
+
+    @pytest.mark.parametrize("layout", ["rows", "long"])
+    def test_raw_points_outside_unit_interval_is_parse_error(self, capsys, tmp_path, layout):
+        days = np.arange(1, 366)
+        values = np.vstack([np.sin(days / 50.0), np.cos(days / 40.0)])
+        bad = tmp_path / "days.csv"
+        if layout == "rows":
+            lines = [days] + list(values)
+        else:
+            lines = [("curve_id", "t", "value")] + [
+                (f"c{i}", d, v) for i, row in enumerate(values) for d, v in zip(days, row)
+            ]
+        bad.write_text("".join(",".join(map(str, line)) + "\n" for line in lines))
+        code, out, err = run_cli(
+            capsys, "fpca-summary", str(bad), "--layout", layout, "--basis-size", "raw"
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "raw ingestion needs points in [0, 1]" in err
+
     def test_bad_configuration_is_exit_4(self, capsys, cli_files):
         code, _, err = run_cli(
             capsys, "cpt-test", str(cli_files / "x.csv"), "--basis-size", "4"

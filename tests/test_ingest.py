@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fdchange.curves import Grid
 from fdchange.errors import ConfigurationError, ParseError
 from fdchange.ingest import IngestionConfig, fourier_design, ingest, write_sample_csv
 from fdchange.simulation import generate_bm_sample
@@ -273,3 +274,191 @@ class TestConfigValidation:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ConfigurationError):
             IngestionConfig(**kwargs)
+
+
+def per_curve_fit(curves, basis_size, grid_size):
+    """Smoothing as a per-curve algorithm: each curve's own Fourier design and
+    least-squares fit, evaluated on the analysis grid. Ingestion shares one
+    design across curves and must give these values bit for bit."""
+    eval_design = fourier_design(Grid.uniform(grid_size).points, basis_size)
+    values = np.empty((len(curves), grid_size))
+    for i, (t, v) in enumerate(curves):
+        coef, *_ = np.linalg.lstsq(fourier_design(t, basis_size), v, rcond=None)
+        values[i] = eval_design @ coef
+    return values
+
+
+def write_long_cells(path, observations):
+    """Long-layout file from (curve_id, t_cell, value_cell) string triples."""
+    path.write_text("curve_id,t,value\n" + "".join(f"{c},{t},{v}\n" for c, t, v in observations))
+
+
+class TestPooledDesignBitIdentity:
+    """The pooled design gathers exactly the rows of every per-curve design."""
+
+    def test_long_file_with_missing_cells(self, tmp_path):
+        rng = np.random.default_rng(101)
+        t = np.linspace(0.0, 1.0, 40)
+        values = rng.standard_normal((6, t.size))
+        holes = rng.random(values.shape) < 0.08
+        observations, curves = [], []
+        for i, (row, gaps) in enumerate(zip(values, holes)):
+            for tj, vj, gap in zip(t, row, gaps):
+                observations.append((f"c{i}", f"{tj:.17g}", "NA" if gap else f"{vj:.17g}"))
+            curves.append((t[~gaps], row[~gaps]))
+        path = tmp_path / "holes.csv"
+        write_long_cells(path, observations)
+        sample = ingest(str(path), IngestionConfig(layout="long", basis_size=9, grid_size=50))
+        assert sample.values.tobytes() == per_curve_fit(curves, 9, 50).tobytes()
+
+    def test_long_file_with_irregular_times_and_a_repeated_point(self, tmp_path):
+        # Times on [2.5, 7.5] (not day-like) are rescaled with the pooled
+        # minimum and maximum before fitting.
+        rng = np.random.default_rng(102)
+        raw = [np.sort(rng.uniform(2.5, 7.5, n)) for n in (25, 31, 18, 40)]
+        raw[2] = np.sort(np.append(raw[2], raw[2][5]))  # the same t twice in one curve
+        values = [rng.standard_normal(t.size) for t in raw]
+        observations = [
+            (f"c{i}", f"{tj:.17g}", f"{vj:.17g}")
+            for i, (t, v) in enumerate(zip(raw, values))
+            for tj, vj in zip(t, v)
+        ]
+        path = tmp_path / "irregular.csv"
+        write_long_cells(path, observations)
+        pooled = np.concatenate(raw)
+        lo, hi = float(pooled.min()), float(pooled.max())
+        curves = [((t - lo) / (hi - lo), v) for t, v in zip(raw, values)]
+        sample = ingest(str(path), IngestionConfig(layout="long", basis_size=7, grid_size=60))
+        assert sample.values.tobytes() == per_curve_fit(curves, 7, 60).tobytes()
+
+    def test_day_of_year_file_with_a_leap_day(self, tmp_path):
+        rng = np.random.default_rng(103)
+        days = np.arange(1, 367)
+        values = rng.standard_normal((3, days.size))
+        observations = []
+        for i, row in enumerate(values):
+            kept = days if i == 1 else days[:-1]  # only c1 has a day-366 record
+            observations += [(f"c{i}", str(d), f"{v:.17g}") for d, v in zip(kept, row)]
+        path = tmp_path / "days.csv"
+        write_long_cells(path, observations)
+        t = (days[:-1] - 1.0) / 364.0
+        curves = [(t, row[:-1]) for row in values]
+        sample = ingest(str(path), IngestionConfig(layout="long", basis_size=15, grid_size=365))
+        assert sample.values.tobytes() == per_curve_fit(curves, 15, 365).tobytes()
+
+    def test_rows_file_with_missing_cells(self, tmp_path):
+        rng = np.random.default_rng(104)
+        t = np.linspace(0.0, 1.0, 45)
+        values = rng.standard_normal((5, t.size))
+        holes = rng.random(values.shape) < 0.1
+        lines = [",".join(f"{x:.17g}" for x in t)]
+        lines += [
+            ",".join("NA" if gap else f"{v:.17g}" for v, gap in zip(row, gaps))
+            for row, gaps in zip(values, holes)
+        ]
+        path = tmp_path / "rows.csv"
+        path.write_text("\n".join(lines) + "\n")
+        curves = [(t[~gaps], row[~gaps]) for row, gaps in zip(values, holes)]
+        sample = ingest(str(path), IngestionConfig(basis_size=11, grid_size=70))
+        assert sample.values.tobytes() == per_curve_fit(curves, 11, 70).tobytes()
+
+
+class TestParserContract:
+    def test_padded_curve_ids_merge_in_first_appearance_order(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        write_long_cells(path, [
+            ("c2", "0", "1"), (" c1", "0", "4"), ("c2", "0.5", "2"),
+            ("c1", "0.5", "5"), ("c1 ", "1", "6"), ("c2", "1", "3"),
+        ])
+        sample = ingest(str(path), IngestionConfig(layout="long", basis_size=None))
+        assert sample.values.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+    @pytest.mark.parametrize("token", [" NA ", "", "nan", "NaN"])
+    @pytest.mark.parametrize("layout", ["rows", "long"])
+    def test_missing_value_cells(self, tmp_path, token, layout):
+        t = np.linspace(0.0, 1.0, 12)
+        rows = np.vstack([np.cos(3 * t), np.sin(2 * t)])
+        cells = [[f"{v:.17g}" for v in row] for row in rows]
+        cells[0][4] = token
+        path = tmp_path / "missing.csv"
+        if layout == "rows":
+            lines = [",".join(f"{x:.17g}" for x in t)] + [",".join(row) for row in cells]
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            write_long_cells(path, [
+                (f"c{i}", f"{tj:.17g}", v) for i, row in enumerate(cells) for tj, v in zip(t, row)
+            ])
+        sample = ingest(str(path), IngestionConfig(layout=layout, basis_size=5, grid_size=20))
+        keep = np.arange(t.size) != 4
+        curves = [(t[keep], rows[0][keep]), (t, rows[1])]
+        assert sample.values.tobytes() == per_curve_fit(curves, 5, 20).tobytes()
+        with pytest.raises(ParseError, match="missing values present"):
+            ingest(str(path), IngestionConfig(layout=layout, basis_size=5, missing="fail"))
+
+    def test_unparsable_value_names_its_line(self, tmp_path):
+        path = tmp_path / "word.csv"
+        write_long_cells(path, [("c1", "0", "1.0"), ("c1", "0.5", "abc")])
+        with pytest.raises(ParseError, match=r"line 3, value: cannot parse 'abc'"):
+            ingest(str(path), IngestionConfig(layout="long"))
+        path.write_text("0,0.5,1\n1,2,3\n4,abc,6\n")
+        with pytest.raises(ParseError, match=r"line 3, column 1: cannot parse 'abc'"):
+            ingest(str(path))
+
+    def test_nan_observation_point(self, tmp_path):
+        path = tmp_path / "nan_t.csv"
+        write_long_cells(path, [("c1", "0", "1.0"), ("c1", "nan", "2.0")])
+        with pytest.raises(ParseError, match="line 3: missing observation point"):
+            ingest(str(path), IngestionConfig(layout="long"))
+
+    def test_short_row_reports_its_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("0,0.5,1\n1,2,3\n\n4,5\n")
+        with pytest.raises(ParseError, match=r"line 4\) has 2 values, expected 3"):
+            ingest(str(path))
+        path.write_text("curve_id,t,value\nc1,0,1\n\nc1,0.5\n")
+        with pytest.raises(ParseError, match="line 4 has 2 fields, expected 3"):
+            ingest(str(path), IngestionConfig(layout="long"))
+
+
+class TestNonFiniteCells:
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "1e999", " -inf "])
+    @pytest.mark.parametrize(
+        "layout, text, where",
+        [
+            ("rows", "0,{x},1\n1,2,3\n", "header column 1"),
+            ("rows", "0,0.5,1\n1,2,3\n4,{x},6\n", "line 3, column 1"),
+            ("long", "curve_id,t,value\nc1,0,1\nc1,{x},2\n", "line 3, t"),
+            ("long", "curve_id,t,value\nc1,0,1\nc1,0.5,{x}\n", "line 3, value"),
+        ],
+        ids=["rows-header", "rows-value", "long-t", "long-value"],
+    )
+    def test_rejected_with_path_line_and_column(self, tmp_path, token, layout, text, where):
+        path = tmp_path / "inf.csv"
+        path.write_text(text.format(x=token))
+        for basis_size in (3, None):
+            config = IngestionConfig(layout=layout, basis_size=basis_size, grid_size=5)
+            with pytest.raises(ParseError, match="non-finite number") as info:
+                ingest(str(path), config)
+            assert str(info.value).startswith(f"{path}: {where}: ")
+
+
+class TestRawGridRange:
+    def test_rows_header_outside_unit_interval(self, tmp_path):
+        path = tmp_path / "days.csv"
+        write_rows(path, np.arange(1, 366), np.ones((2, 365)))
+        with pytest.raises(ParseError, match=r"run from 1\.0 to 365\.0; raw ingestion needs"):
+            ingest(str(path), IngestionConfig(basis_size=None))
+        # Smoothing rescales the same file.
+        assert ingest(str(path), IngestionConfig(basis_size=5, grid_size=10)).n_curves == 2
+
+    def test_long_points_not_spanning_unit_interval(self, tmp_path):
+        path = tmp_path / "inner.csv"
+        write_long(path, [0.25, 0.5, 0.75], np.ones((2, 3)))
+        with pytest.raises(ParseError, match="raw ingestion needs points in"):
+            ingest(str(path), IngestionConfig(layout="long", basis_size=None))
+
+    def test_long_single_point(self, tmp_path):
+        path = tmp_path / "one.csv"
+        write_long(path, [0.5], np.ones((2, 1)))
+        with pytest.raises(ParseError, match="at least 2"):
+            ingest(str(path), IngestionConfig(layout="long", basis_size=None))
