@@ -12,13 +12,11 @@ import numpy as np
 from fdchange import (
     bridge_sup_moments,
     corollary_tests,
-    cusum_matrix,
     cvm2d_test,
     estimate_changepoint,
     generate_bm_sample,
     inject_shift,
-    sample_eigensystem,
-    compute_scores,
+    sample_cusum,
     simulate_tld,
     variance_explained,
 )
@@ -40,28 +38,27 @@ print(f"clean sample:    statistic {null_out.statistic:.4f}, p = {null_out.p_val
 # ----------------------------------------------------------------------
 # How much variance do the projections keep?
 
-eig = sample_eigensystem(shifted, 10)
+eig, cusum = sample_cusum(shifted, 10)
 cumulative = variance_explained(eig.eigenvalues)
 print("\ncumulative variance explained by the leading components:")
 print("  ", np.round(cumulative[:5], 3))
 
 # ----------------------------------------------------------------------
-# Normal-limit companions on the same CUSUM matrix.  The integrated
-# variant (cvm-sum) is the practical one; the per-component sup variant
-# needs simulated moments of the squared-bridge supremum.
+# Normal-limit companions on the same CUSUM matrix; none of them draws
+# anything.  The per-component sup variant (sup-bridge) is standardized by
+# the closed-form mean and sd of a squared Brownian bridge's maximum over
+# the N + 1 points of the CUSUM.
 
-cusum = cusum_matrix(compute_scores(shifted, eig, 10))
-for variant in ("cvm-sum", "sup-sum"):
+mu0, sigma0 = bridge_sup_moments(cusum.n)
+print(f"\nmax of a squared bridge on {cusum.n + 1} points: mean {mu0:.4f}, sd {sigma0:.4f}")
+for variant in ("cvm-sum", "sup-sum", "sup-bridge"):
     res = corollary_tests(cusum, variant)
-    print(f"{variant:8s}: z = {res.statistic:7.3f}, p = {res.p_value:.2e}")
-
-moments = bridge_sup_moments(reps=20_000, grid_size=1000, seed=3, workers=2)
-res = corollary_tests(cusum, "sup-bridge", moments)
-print(f"{'sup-bridge':8s}: z = {res.statistic:7.3f}, p = {res.p_value:.2e}")
+    print(f"{variant:10s}: z = {res.statistic:7.3f}, p = {res.p_value:.2e}")
 
 # ----------------------------------------------------------------------
 # Where is the change?  The estimator returns the length of the
 # pre-change prefix (true value here: 120).
 
-theta = estimate_changepoint(cusum_matrix(compute_scores(shifted, sample_eigensystem(shifted, 5), 5)))
+_, cusum5 = sample_cusum(shifted, 5)
+theta = estimate_changepoint(cusum5)
 print(f"\nestimated change after curve {theta} (true: 120)")

@@ -51,7 +51,6 @@ from .fpca import (
 )
 from .ingest import IngestionConfig, ingest, write_sample_csv
 from .limitdist import (
-    BridgeSupMoments,
     LimitLaw,
     bridge_sq_kernel_eigenvalues,
     bridge_sup_moments,

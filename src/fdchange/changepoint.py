@@ -27,7 +27,7 @@ from .errors import (
     DimensionError,
 )
 from .fpca import EigenSystem, ScoreMatrix, compute_scores, sample_eigensystem
-from .limitdist import BridgeSupMoments, LimitLaw
+from .limitdist import LimitLaw, bridge_sup_moments
 
 __all__ = [
     "CusumMatrix",
@@ -203,18 +203,12 @@ def cvm2d_test(sample: FunctionalSample, d: int, law: LimitLaw) -> TestOutcome:
     )
 
 
-def _corollary_statistic(
-    variant: str,
-    bridge_sq: np.ndarray,
-    d: int,
-    moments: BridgeSupMoments | None,
-) -> float:
+def _corollary_statistic(variant: str, bridge_sq: np.ndarray, d: int) -> float:
     n = bridge_sq.shape[1] - 1
     if variant == "sup-bridge":
-        if moments is None:
-            raise ConfigurationError("sup-bridge needs simulated bridge sup moments")
+        mu0, sigma0 = bridge_sup_moments(n)
         total = bridge_sq[:d].max(axis=1).sum()
-        return float((total - d * moments.mu0) / (np.sqrt(d) * moments.sigma0))
+        return float((total - d * mu0) / (np.sqrt(d) * sigma0))
     if variant == "cvm-sum":
         integrals = bridge_sq[:d, :-1].sum(axis=1) / n
         return float((integrals.sum() - d / 6.0) / np.sqrt(d / 45.0))
@@ -224,17 +218,17 @@ def _corollary_statistic(
     raise ConfigurationError(f"unknown corollary variant {variant!r}")
 
 
-def corollary_tests(
-    cusum: CusumMatrix,
-    variant: str,
-    moments: BridgeSupMoments | None = None,
-) -> TestOutcome:
+def corollary_tests(cusum: CusumMatrix, variant: str) -> TestOutcome:
     """Normal-limit companions: per-component sup, integrated square, joint sup.
 
+    ``sup-bridge`` standardizes the sum of per-component maxima by the
+    closed-form mean and sd of a squared Brownian bridge's maximum over the
+    N + 1 points of the CUSUM; ``cvm-sum`` and ``sup-sum`` use their exact
+    null means and variances. None of the three draws anything.
     One-sided: large values reject, p = P(N(0,1) > statistic).
     """
     bridge_sq = _bridge_squares(cusum.values)
-    stat = _corollary_statistic(variant, bridge_sq, cusum.d, moments)
+    stat = _corollary_statistic(variant, bridge_sq, cusum.d)
     return TestOutcome(
         method=variant,
         statistic=stat,

@@ -5,9 +5,13 @@ Exit codes: 0 success; 2 usage (argparse); 3 parse errors in input files;
 negative ``--seed`` and an unwritable ``--out``); 5 degenerate data
 (including grid mismatches between the two samples of ``two-sample``).
 
-Every randomized command prints the effective seed on stderr so a rerun
-with ``--seed`` reproduces its output byte for byte, and then checks that
-``--out`` can be written before it draws anything.
+The randomized commands are ``critical-values``, ``segment``, ``simulate``
+and ``cpt-test --method cvm2d``, which draw a Monte Carlo law or replicates.
+Each prints the effective seed on stderr so a rerun with ``--seed``
+reproduces its output byte for byte, and then checks that ``--out`` can be
+written before it draws anything. The other commands are deterministic;
+``cpt-test`` with a normal-limit method (``sup-bridge``, ``cvm-sum`` or
+``sup-sum``) ignores ``--reps``, ``--seed`` and ``--workers``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .errors import (
 )
 from .fpca import sample_eigensystem, variance_explained
 from .ingest import FLOAT_FORMAT, IngestionConfig, ingest
-from .limitdist import STANDARD_ALPHAS, bridge_sup_moments, simulate_tld
+from .limitdist import STANDARD_ALPHAS, simulate_tld
 from .simulation import SimScenario, run_size_power
 from .twosample import two_sample_test
 
@@ -215,16 +219,14 @@ def _cmd_critical_values(args) -> int:
 
 def _cmd_cpt_test(args) -> int:
     sample = _load_sample(args, args.input)
-    seed = _start_draws(args) if args.method in ("cvm2d", "sup-bridge") else None
+    seed = None
     if args.method == "cvm2d":
+        seed = _start_draws(args)
         law = simulate_tld(args.truncation, args.reps, seed=seed, workers=args.workers)
         outcome = cvm2d_test(sample, args.d, law)
     else:
-        moments = None
-        if args.method == "sup-bridge":
-            moments = bridge_sup_moments(reps=args.reps, seed=seed, workers=args.workers)
         _, cusum = sample_cusum(sample, args.d)
-        outcome = corollary_tests(cusum, args.method, moments)
+        outcome = corollary_tests(cusum, args.method)
     row = {
         "method": outcome.method,
         "d": outcome.d,
@@ -302,12 +304,9 @@ def _cmd_simulate(args) -> int:
         seed=seed,
     )
     law = None
-    moments = None
     if args.test == "cvm2d":
         law = simulate_tld(args.truncation, args.law_reps, seed=seed + 1, workers=args.workers)
-    elif args.test == "sup-bridge":
-        moments = bridge_sup_moments(reps=args.law_reps, seed=seed + 1, workers=args.workers)
-    report = run_size_power(scenario, args.test, law=law, moments=moments, workers=args.workers)
+    report = run_size_power(scenario, args.test, law=law, workers=args.workers)
     rows = [
         {
             "N": r["n"],

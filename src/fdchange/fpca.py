@@ -165,8 +165,10 @@ def _gram_eigensystem(grid: Grid, rows: np.ndarray, divisor: float, d_max: int) 
     Solves the small Gram matrix ``rows @ rows.T / divisor`` and lifts its
     eigenvectors to quadrature-orthonormal eigenfunctions.
     """
-    gram = rows @ rows.T / divisor
-    gram = _finite_covariance((gram + gram.T) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        gram = rows @ rows.T / divisor
+        gram = (gram + gram.T) / 2.0
+    gram = _finite_covariance(gram)
     vals, vecs = scipy.linalg.eigh(gram)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     keep = _keep_count(vals, d_max, None)

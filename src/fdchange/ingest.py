@@ -248,7 +248,8 @@ def _smooth(
     for i, (t, v) in enumerate(zip(cleaned_t, cleaned_v)):
         rows = np.searchsorted(bits, t.view(np.int64))
         coef, *_ = np.linalg.lstsq(design[rows], v, rcond=None)
-        values[i] = eval_design @ coef
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            values[i] = eval_design @ coef
     overflowed = ~np.isfinite(values).all(axis=1)
     if overflowed.any():
         raise ParseError(

@@ -11,8 +11,8 @@ bridge). This module simulates that law two independent ways:
 * ``simulate_gamma_functional`` - the Gaussian field itself, built from a
   Wiener sheet via a time rescaling, integrated by quadrature.
 
-It also estimates the mean/sd of the supremum of a squared Brownian bridge,
-needed by the normal-limit test variants.
+It also gives the mean and sd of the maximum of a squared Brownian bridge on
+a grid, in closed form, for the ``sup-bridge`` normal-limit test.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "LimitLaw",
     "simulate_tld",
     "simulate_gamma_functional",
-    "BridgeSupMoments",
     "bridge_sup_moments",
 ]
 
@@ -208,48 +207,30 @@ def simulate_gamma_functional(
     return run_replicates(partial(_gamma_chunk, seed, grid_u, grid_x), reps, workers)
 
 
-@dataclass(frozen=True)
-class BridgeSupMoments:
-    """Monte Carlo mean and sd of sup_x B(x)^2 for a Brownian bridge B."""
-
-    mu0: float
-    sigma0: float
-    reps: int
-    grid_size: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not (self.mu0 > 0 and self.sigma0 > 0):
-            raise ValueError("bridge sup moments must be positive")
+#: zeta(3) and zeta(1/2), for the moments of the Kolmogorov law and its
+#: discrete-maximum correction.
+_ZETA3 = 1.2020569031595942
+_ZETA_HALF = -1.4603545088095868
 
 
-def _bridge_chunk(seed: int, grid_size: int, start: int, stop: int) -> np.ndarray:
-    t = np.arange(1, grid_size + 1) / grid_size
-    scale = 1.0 / math.sqrt(grid_size)
-    out = np.empty(stop - start)
-    for r in range(start, stop):
-        walk = replicate_rng(seed, r).standard_normal(grid_size).cumsum() * scale
-        bridge = walk - t * walk[-1]
-        out[r - start] = float(np.max(bridge * bridge))
-    return out
+def bridge_sup_moments(n: int) -> tuple[float, float]:
+    """Mean and sd of max_k B(k/n)^2, k = 0..n, for a Brownian bridge B.
 
-
-def bridge_sup_moments(
-    reps: int = 100_000,
-    grid_size: int = 2000,
-    seed: int = 0,
-    workers: int = 1,
-) -> BridgeSupMoments:
-    """Estimate E sup B^2 and sd(sup B^2) from random-walk bridges."""
-    if reps < 1000:
-        raise ConfigurationError(f"reps must be >= 1000, got {reps}")
-    if grid_size < 500:
-        raise ResolutionError(f"grid_size must be >= 500, got {grid_size}")
-    sups = run_replicates(partial(_bridge_chunk, seed, grid_size), reps, workers)
-    return BridgeSupMoments(
-        mu0=float(sups.mean()),
-        sigma0=float(sups.std(ddof=1)),
-        reps=reps,
-        grid_size=grid_size,
-        seed=seed,
-    )
+    K = sup|B| has the Kolmogorov law, whose raw moments are E K =
+    sqrt(pi/2) ln 2, E K^2 = pi^2/12, E K^3 = (9/16) sqrt(pi/2) zeta(3) and
+    E K^4 = 7 pi^4/720. The maximum over n + 1 equally spaced points falls
+    short of K by about beta / sqrt(n), beta = -zeta(1/2) / sqrt(2 pi)
+    (Broadie, Glasserman & Kou, Math. Finance 7 (1997) 325-349), so these
+    are the mean and sd of (K - beta / sqrt(n))^2.
+    """
+    if n < 1:
+        raise ConfigurationError(f"n must be >= 1, got {n}")
+    root = math.sqrt(math.pi / 2.0)
+    k1 = root * math.log(2.0)
+    k2 = math.pi**2 / 12.0
+    k3 = 9.0 / 16.0 * root * _ZETA3
+    k4 = 7.0 * math.pi**4 / 720.0
+    c = -_ZETA_HALF / math.sqrt(2.0 * math.pi) / math.sqrt(n)
+    mean = k2 - 2.0 * c * k1 + c * c
+    fourth = k4 - 4.0 * c * k3 + 6.0 * c * c * k2 - 4.0 * c**3 * k1 + c**4
+    return mean, math.sqrt(fourth - mean * mean)

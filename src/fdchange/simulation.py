@@ -27,7 +27,7 @@ from .changepoint import (
 )
 from .curves import FunctionalSample, Grid
 from .errors import ConfigurationError
-from .limitdist import BridgeSupMoments, LimitLaw
+from .limitdist import LimitLaw
 from .twosample import _checked_pooled_eigensystem, _projected_statistic
 
 __all__ = [
@@ -142,13 +142,7 @@ def confidence_band(p_hat: float, reps: int) -> tuple[float, float]:
     return max(0.0, p_hat - half), min(1.0, p_hat + half)
 
 
-def _changepoint_chunk(
-    scenario: SimScenario,
-    test: str,
-    moments: BridgeSupMoments | None,
-    start: int,
-    stop: int,
-) -> np.ndarray:
+def _changepoint_chunk(scenario: SimScenario, test: str, start: int, stop: int) -> np.ndarray:
     grid = Grid.uniform(scenario.grid_size + 1)
     d_max = max(scenario.d_list)
     t = grid.points
@@ -166,7 +160,7 @@ def _changepoint_chunk(
         else:
             bridge_sq = _bridge_squares(cusum.values)
             for j, d in enumerate(scenario.d_list):
-                out[r - start, j] = _corollary_statistic(test, bridge_sq, d, moments)
+                out[r - start, j] = _corollary_statistic(test, bridge_sq, d)
     return out
 
 
@@ -195,14 +189,14 @@ def run_size_power(
     scenario: SimScenario,
     test: str = "cvm2d",
     law: LimitLaw | None = None,
-    moments: BridgeSupMoments | None = None,
     workers: int = 1,
 ) -> SimReport:
     """Estimate rejection probabilities for every (d, alpha) of the scenario.
 
     ``law`` is required for the cvm2d test (simulate it once and reuse it);
-    ``moments`` is required for sup-bridge. Statistics are computed once per
-    replicate and thresholded at every alpha.
+    the normal-limit tests, ``sup-bridge`` included, need nothing drawn
+    beyond the replicates. Statistics are computed once per replicate and
+    thresholded at every alpha.
     """
     if test == "two-sample":
         stats = run_replicates(
@@ -210,15 +204,10 @@ def run_size_power(
         )
         p_values = ndtr(-stats)
     elif test in CHANGEPOINT_TESTS:
-        if test == "cvm2d":
-            if law is None:
-                raise ConfigurationError("cvm2d needs a simulated LimitLaw")
-        elif test == "sup-bridge" and moments is None:
-            raise ConfigurationError("sup-bridge needs simulated bridge sup moments")
+        if test == "cvm2d" and law is None:
+            raise ConfigurationError("cvm2d needs a simulated LimitLaw")
         stats = run_replicates(
-            partial(_changepoint_chunk, scenario, test, moments),
-            scenario.reps,
-            workers,
+            partial(_changepoint_chunk, scenario, test), scenario.reps, workers
         )
         p_values = law.p_value(stats) if test == "cvm2d" else ndtr(-stats)
     else:

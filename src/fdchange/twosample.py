@@ -64,7 +64,9 @@ def pooled_covariance(x: FunctionalSample, y: FunctionalSample) -> CovarianceSur
     cx = empirical_covariance(x).values
     cy = empirical_covariance(y).values
     ratio = x.n_curves / y.n_curves
-    return CovarianceSurface(x.grid, _finite_covariance(cx + ratio * cy))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        pooled = cx + ratio * cy
+    return CovarianceSurface(x.grid, _finite_covariance(pooled))
 
 
 def pooled_eigensystem(

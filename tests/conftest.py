@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from fdchange.limitdist import bridge_sup_moments, simulate_tld
+from fdchange.limitdist import simulate_tld
 
 #: Worker count for the heavier Monte Carlo fixtures and tests.
 WORKERS = min(4, os.cpu_count() or 1)
@@ -33,9 +33,3 @@ def law100k():
     law = simulate_tld(truncation=49, reps=100_000, seed=LAW_SEED, workers=WORKERS)
     TIMINGS["law100k"] = time.perf_counter() - start
     return law
-
-
-@pytest.fixture(scope="session")
-def sup_moments():
-    """Brownian-bridge squared-sup moments at unit-test fidelity."""
-    return bridge_sup_moments(reps=20_000, grid_size=1000, seed=7, workers=WORKERS)

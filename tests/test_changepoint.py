@@ -25,11 +25,11 @@ from fdchange._rng import replicate_rng
 from fdchange.curves import FunctionalSample, Grid
 from fdchange.errors import ConfigurationError, DimensionError
 from fdchange.fpca import compute_scores, sample_eigensystem
-from fdchange.limitdist import BridgeSupMoments
 from fdchange.simulation import _bm_values, generate_bm_sample, inject_shift
 
 from _datasets import MULTI_CHANGE_AFTER, multi_change_sample
 from conftest import WORKERS
+from test_limitdist import BETA, kolmogorov_moments
 
 
 def bm_cusum(n=60, grid_size=120, d=4, seed=0):
@@ -160,29 +160,24 @@ class TestIntegratedSquareStatistic:
 
 
 class TestCorollaryStatistics:
-    def test_loop_reference(self, sup_moments):
+    def test_loop_reference(self):
         cusum = bm_cusum(n=50, grid_size=90, d=6, seed=15)
         v = _bridge_squares(np.asarray(cusum.values))
         n = v.shape[1] - 1
         d = 6
         per_comp_sup = sum(v[j].max() for j in range(d))
-        expected = (per_comp_sup - d * sup_moments.mu0) / (
-            math.sqrt(d) * sup_moments.sigma0
-        )
-        got = _corollary_statistic("sup-bridge", v, d, sup_moments)
-        assert got == pytest.approx(expected, rel=1e-12)
+        mu0, sigma0 = kolmogorov_moments(BETA / math.sqrt(n))
+        expected = (per_comp_sup - d * mu0) / (math.sqrt(d) * sigma0)
+        got = _corollary_statistic("sup-bridge", v, d)
+        assert got == pytest.approx(expected, rel=1e-9)
 
         per_comp_int = sum(v[j, :-1].sum() / n for j in range(d))
         expected = (per_comp_int - d / 6.0) / math.sqrt(d / 45.0)
-        assert _corollary_statistic("cvm-sum", v, d, None) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert _corollary_statistic("cvm-sum", v, d) == pytest.approx(expected, rel=1e-12)
 
         peak = max(v[:d, k].sum() for k in range(n + 1))
         expected = (peak - d / 4.0) / math.sqrt(d / 8.0)
-        assert _corollary_statistic("sup-sum", v, d, None) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert _corollary_statistic("sup-sum", v, d) == pytest.approx(expected, rel=1e-12)
 
     def test_centered_integral_gives_zero_statistic(self):
         # One cusum row whose bridge integral is exactly its null mean 1/6:
@@ -195,16 +190,12 @@ class TestCorollaryStatistics:
         assert abs(outcome.statistic) < 1e-9
         assert outcome.p_value == pytest.approx(0.5, abs=1e-9)
 
-    def test_sup_bridge_requires_moments(self):
-        with pytest.raises(ConfigurationError):
-            corollary_tests(bm_cusum(seed=16), "sup-bridge")
-
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigurationError):
             corollary_tests(bm_cusum(seed=16), "no-such-variant")
 
-    def test_one_sided_p_value(self, sup_moments):
-        outcome = corollary_tests(bm_cusum(seed=17), "sup-bridge", sup_moments)
+    def test_one_sided_p_value(self):
+        outcome = corollary_tests(bm_cusum(seed=17), "sup-bridge")
         from scipy.stats import norm
 
         assert outcome.p_value == pytest.approx(norm.sf(outcome.statistic), rel=1e-12)

@@ -139,14 +139,18 @@ class TestCptTest:
         assert 0.0 <= float(row["p_value"]) <= 1.0
 
     def test_sup_bridge_method(self, capsys, cli_files):
-        code, out, err = run_cli(
-            capsys, "cpt-test", str(cli_files / "shift.csv"), *RAW,
-            "--method", "sup-bridge", "--d", "4", "--reps", "2000", "--seed", "3",
-            "--workers", "2",
-        )
-        assert code == 0
-        assert "seed: 3" in err
-        assert float(parse_csv(out)[1][0]["p_value"]) < 0.05
+        outputs = []
+        for seed in ("3", "4"):
+            code, out, err = run_cli(
+                capsys, "cpt-test", str(cli_files / "shift.csv"), *RAW,
+                "--method", "sup-bridge", "--d", "4", "--reps", "2000", "--seed", seed,
+                "--workers", "2",
+            )
+            assert code == 0
+            assert "seed:" not in err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert float(parse_csv(outputs[0])[1][0]["p_value"]) < 0.05
 
     def test_json_includes_diagnostics(self, capsys, cli_files):
         code, out, _ = run_cli(
@@ -416,16 +420,33 @@ class TestExitCodes:
         "argv",
         [
             ("critical-values", "--reps", "200"),
-            ("cpt-test", "{x}", *RAW, "--method", "sup-bridge", "--reps", "2000"),
+            ("segment", "{x}", *RAW, "--reps", "200"),
             ("simulate", "--n", "20", "--grid-size", "50", "--reps", "5", "--law-reps", "200"),
         ],
-        ids=["critical-values", "sup-bridge", "simulate"],
+        ids=["critical-values", "segment", "simulate"],
     )
     def test_negative_seed_is_exit_4(self, capsys, cli_files, argv):
         argv = [a.format(x=cli_files / "x.csv") for a in argv]
         code, out, err = run_cli(capsys, *argv, "--seed", "-1")
         assert code == 4 and out == ""
         assert err.startswith("error:") and "seed" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "basis, values, code",
+        [
+            ("3", ("2.3e155,1,2,3,4", "1,2.3e155,0,1,2", "3,1,2.3e155,5,1"), 5),
+            ("raw", ("2.3e155,1,2,3,4", "1,2.3e155,0,1,2", "3,1,2.3e155,5,1"), 5),
+            ("3", ("1.7e308,1.7e308,-1.7e308,-1.7e308,1.7e308", "1,2,0,1,2", "3,1,2,5,1"), 3),
+        ],
+        ids=["smoothed", "raw", "smoothing"],
+    )
+    def test_float64_overflow_prints_only_the_error(self, capsys, tmp_path, basis, values, code):
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join(("0,0.25,0.5,0.75,1",) + values) + "\n")
+        got, out, err = run_cli(capsys, "fpca-summary", str(big), "--basis-size", basis)
+        assert got == code and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_usage_errors_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,9 +1,11 @@
-"""Reference-distribution simulation: spectra, samplers, and bridge moments."""
+"""Reference distributions: spectra, samplers, and closed-form bridge moments."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import kolmogorov
 
 from fdchange.errors import ConfigurationError, ResolutionError
 from fdchange.limitdist import (
@@ -156,17 +158,66 @@ class TestGammaRepresentation:
         )
 
 
-class TestBridgeSupMoments:
-    def test_moments_near_analytic_values(self, sup_moments):
-        # E sup B^2 = pi^2/12 ~ 0.8225 and sd ~ 0.5202 in the continuum; the
-        # 1000-point discrete sup undershoots the mean by ~0.04 (bias decays
-        # like grid^{-1/2}).
-        assert 0.76 < sup_moments.mu0 < 0.83
-        assert 0.47 < sup_moments.sigma0 < 0.55
+def kolmogorov_moments(c):
+    """Mean and sd of (K - c)^2, K Kolmogorov-distributed, by quadrature.
 
-    def test_finer_grid_moves_mean_toward_continuum(self, sup_moments):
-        finer = bridge_sup_moments(reps=20_000, grid_size=2000, seed=7, workers=WORKERS)
-        assert sup_moments.mu0 < finer.mu0 < math.pi**2 / 12.0
+    E g(K) = g(0) + int_0^inf g'(x) P(K > x) dx for g = (x - c)^2, (x - c)^4;
+    P(K > x) is below 1e-80 beyond x = 10.
+    """
+
+    def expect(power):
+        def integrand(x):
+            return power * (x - c) ** (power - 1) * kolmogorov(x)
+
+        return c**power + quad(integrand, 0, 10, epsabs=0, epsrel=1e-13)[0]
+
+    second = expect(2)
+    return second, math.sqrt(expect(4) - second**2)
+
+
+def random_walk_bridge_sups(n, reps, seed, chunk=10_000):
+    """max_k B(k/n)^2 over k = 0..n for random-walk bridges of n steps."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(1, n + 1) / n
+    out = []
+    for start in range(0, reps, chunk):
+        walk = rng.standard_normal((min(chunk, reps - start), n)).cumsum(axis=1) / math.sqrt(n)
+        bridge = walk - t[None, :] * walk[:, -1:]
+        out.append((bridge * bridge).max(axis=1))
+    return np.concatenate(out)
+
+
+BETA = 0.5825971579390108  # -zeta(1/2) / sqrt(2 pi)
+
+
+class TestBridgeSupMoments:
+    @pytest.mark.parametrize("n", [20, 100, 2000, None], ids=["20", "100", "2000", "continuum"])
+    def test_matches_kolmogorov_quadrature(self, n):
+        c = 0.0 if n is None else BETA / math.sqrt(n)
+        mu, sigma = bridge_sup_moments(10**30 if n is None else n)
+        ref_mu, ref_sigma = kolmogorov_moments(c)
+        assert mu == pytest.approx(ref_mu, rel=1e-10)
+        assert sigma == pytest.approx(ref_sigma, rel=1e-10)
+
+    def test_moments_near_analytic_values(self):
+        # E sup B^2 = pi^2/12 and sd(sup B^2) = pi^2/sqrt(360) exactly.
+        mu, sigma = bridge_sup_moments(10**30)
+        assert mu == pytest.approx(math.pi**2 / 12.0, rel=1e-12)
+        assert sigma == pytest.approx(math.pi**2 / math.sqrt(360.0), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [50, 400])
+    def test_matches_random_walk_bridges(self, n):
+        sups = random_walk_bridge_sups(n, reps=100_000, seed=20260915 + n)
+        mu, sigma = bridge_sup_moments(n)
+        centered = sups - sups.mean()
+        se_mu = sups.std(ddof=1) / math.sqrt(sups.size)
+        se_sigma = (centered**2).std(ddof=1) / math.sqrt(sups.size) / (2.0 * sups.std(ddof=1))
+        assert abs(sups.mean() - mu) < 4.0 * se_mu
+        assert abs(sups.std(ddof=1) - sigma) < 4.0 * se_sigma
+
+    def test_finer_grid_moves_mean_toward_continuum(self):
+        means = [bridge_sup_moments(n)[0] for n in (20, 100, 2000)]
+        assert means[0] < means[1] < means[2] < math.pi**2 / 12.0
 
     def test_sup_over_nested_grids_is_monotone(self):
         # On one driving path, the sup over a refinement dominates the sup
@@ -178,30 +229,6 @@ class TestBridgeSupMoments:
             bridge_sq = (walk - t * walk[-1]) ** 2
             assert bridge_sq.max() >= bridge_sq[19::20].max()
 
-    def test_monte_carlo_error_shrinks_with_reps(self):
-        coarse = [
-            bridge_sup_moments(reps=1000, grid_size=500, seed=s).mu0 for s in range(40)
-        ]
-        fine = [
-            bridge_sup_moments(reps=4000, grid_size=500, seed=s + 1000).mu0
-            for s in range(40)
-        ]
-        assert np.std(fine) < 0.85 * np.std(coarse)
-
-    def test_replicate_streams_match_documented_scheme(self):
-        # Replicate r walks on the normals of Generator(Philox(seed).jumped(r)).
-        moments = bridge_sup_moments(reps=1000, grid_size=500, seed=31, workers=2)
-        t = np.arange(1, 501) / 500
-        sups = []
-        for r in range(1000):
-            steps = np.random.Generator(np.random.Philox(31).jumped(r)).standard_normal(500)
-            walk = steps.cumsum() / math.sqrt(500)
-            sups.append(np.max((walk - t * walk[-1]) ** 2))
-        assert moments.mu0 == pytest.approx(np.mean(sups), rel=1e-12)
-        assert moments.sigma0 == pytest.approx(np.std(sups, ddof=1), rel=1e-12)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            bridge_sup_moments(reps=100, grid_size=1000, seed=0)
-        with pytest.raises(ResolutionError):
-            bridge_sup_moments(reps=2000, grid_size=100, seed=0)
+            bridge_sup_moments(0)

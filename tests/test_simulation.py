@@ -204,19 +204,15 @@ class TestRunSizePower:
         assert strong.p_hat(5, 0.05) > weak.p_hat(5, 0.05) + 0.2
         assert strong.p_hat(5, 0.05) > 0.9
 
-    def test_corollary_variants_run(self, sup_moments):
+    def test_corollary_variants_run(self):
         scenario = SimScenario(n=80, grid_size=100, d_list=(4,), reps=80, seed=14)
-        for variant in ("cvm-sum", "sup-sum"):
+        for variant in ("cvm-sum", "sup-sum", "sup-bridge"):
             report = run_size_power(scenario, variant, workers=WORKERS)
             assert 0.0 <= report.p_hat(4, 0.05) <= 0.5
-        report = run_size_power(scenario, "sup-bridge", moments=sup_moments)
-        assert 0.0 <= report.p_hat(4, 0.05) <= 0.5
 
-    def test_missing_inputs_raise(self, sup_moments):
+    def test_missing_inputs_raise(self):
         scenario = SimScenario(n=20, grid_size=40, reps=4, seed=15)
         with pytest.raises(ConfigurationError):
             run_size_power(scenario, "cvm2d")
-        with pytest.raises(ConfigurationError):
-            run_size_power(scenario, "sup-bridge")
         with pytest.raises(ConfigurationError):
             run_size_power(scenario, "nonsense")
