@@ -42,7 +42,7 @@ from .errors import (
 )
 from .fpca import sample_eigensystem, variance_explained
 from .ingest import FLOAT_FORMAT, IngestionConfig, ingest
-from .limitdist import STANDARD_ALPHAS, simulate_tld
+from .limitdist import MIN_REPS, STANDARD_ALPHAS, simulate_tld
 from .simulation import SimScenario, run_size_power
 from .twosample import two_sample_test
 
@@ -305,6 +305,8 @@ def _cmd_simulate(args) -> int:
     )
     law = None
     if args.test == "cvm2d":
+        if args.law_reps < MIN_REPS:
+            raise ConfigurationError(f"--law-reps must be >= {MIN_REPS}, got {args.law_reps}")
         law = simulate_tld(args.truncation, args.law_reps, seed=seed + 1, workers=args.workers)
     report = run_size_power(scenario, args.test, law=law, workers=args.workers)
     rows = [

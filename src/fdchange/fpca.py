@@ -7,6 +7,12 @@ the quadrature inner product. One Gram-matrix route (`_gram_eigensystem`)
 gets the same decomposition from N weighted curve rows via an N x N solve; it
 serves the sample and the pooled two-sample decompositions and thereby the
 simulation loops.
+
+Every eigensolve goes through ``numpy.linalg``. numpy and scipy each ship
+their own OpenBLAS with its own thread pool; a loop that alternates numpy
+matrix products with a scipy eigensolver makes the two pools take turns
+spinning on the same cores, which cost the simulation loops more than the
+solves themselves. A solve that does not converge is degenerate data.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .curves import CovarianceSurface, Curve, FunctionalSample, Grid, _finite_covariance
 from .errors import ConfigurationError, DegenerateDataError, DimensionError
@@ -133,6 +138,22 @@ def _build_eigensystem(
     )
 
 
+def _weighted_kernel(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The symmetric matrix W^{1/2} C W^{1/2} of the kernel ``values``."""
+    w_half = np.sqrt(weights)
+    b = w_half[:, None] * values * w_half[None, :]
+    return (b + b.T) / 2.0
+
+
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric matrix, largest first."""
+    try:
+        vals, vecs = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateDataError(f"the eigensolver failed: {exc}") from exc
+    return vals[::-1], vecs[:, ::-1]
+
+
 def eigendecompose(
     surface: CovarianceSurface, d_max: int, *, floor: float | None = None
 ) -> EigenSystem:
@@ -144,18 +165,15 @@ def eigendecompose(
     """
     if d_max < 1:
         raise ConfigurationError(f"d_max must be >= 1, got {d_max}")
-    w_half = np.sqrt(surface.grid.weights)
-    b = w_half[:, None] * surface.values * w_half[None, :]
-    b = (b + b.T) / 2.0
-    vals, vecs = scipy.linalg.eigh(b)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
+    b = _weighted_kernel(surface.grid.weights, surface.values)
+    vals, vecs = _eigh(b)
     trace = float(np.trace(b))
     if vals.size and float(vals[-1]) < -1e-8 * max(trace, 0.0):
         raise DegenerateDataError(
             "surface is not positive semidefinite: "
             f"eigenvalue {vals[-1]:.3e} below -1e-8 * trace"
         )
-    functions = (vecs / w_half[:, None]).T  # rows are eigenfunctions
+    functions = (vecs / np.sqrt(surface.grid.weights)[:, None]).T  # rows are eigenfunctions
     return _build_eigensystem(surface.grid, vals, functions, d_max, floor)
 
 
@@ -168,9 +186,7 @@ def _gram_eigensystem(grid: Grid, rows: np.ndarray, divisor: float, d_max: int) 
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         gram = rows @ rows.T / divisor
         gram = (gram + gram.T) / 2.0
-    gram = _finite_covariance(gram)
-    vals, vecs = scipy.linalg.eigh(gram)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
+    vals, vecs = _eigh(_finite_covariance(gram))
     keep = _keep_count(vals, d_max, None)
     lifted = (rows.T @ vecs[:, :keep]) / np.sqrt(divisor * vals[:keep])[None, :]
     functions = (lifted / np.sqrt(grid.weights)[:, None]).T

@@ -211,6 +211,10 @@ def _rescale_times(ts: list[np.ndarray], masks_values: list[np.ndarray]):
     if lo < 0.0 or hi > 1.0:
         if hi == lo:
             raise ParseError("observation points are all identical; cannot rescale")
+        if not math.isfinite(hi - lo):
+            raise ParseError(
+                f"observation points run from {lo!r} to {hi!r}; the span overflows float64"
+            )
         return [(t - lo) / (hi - lo) for t in ts], list(masks_values)
     return list(ts), list(masks_values)
 

@@ -376,6 +376,28 @@ class TestExitCodes:
         )
         assert code == 4
 
+    def test_too_few_law_reps_names_the_law_reps_flag(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--test", "cvm2d", "--n", "20", "--grid-size", "50",
+            "--reps", "5", "--law-reps", "50", "--seed", "1",
+        )
+        assert code == 4 and out == ""
+        assert err.splitlines()[-1] == "error: --law-reps must be >= 100, got 50"
+
+    @pytest.mark.parametrize(
+        "ingest_flags", [RAW, ("--basis-size", "9", "--grid-size", "20")], ids=["gram", "surface"]
+    )
+    def test_failed_eigensolve_is_exit_5(self, capsys, cli_files, monkeypatch, ingest_flags):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        code, out, err = run_cli(
+            capsys, "fpca-summary", str(cli_files / "x.csv"), *ingest_flags
+        )
+        assert code == 5 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_bad_worker_count_is_exit_4(self, capsys, cli_files, workers):
         code, _, err = run_cli(
@@ -448,6 +470,16 @@ class TestExitCodes:
         assert got == code and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_observation_span_overflow_is_exit_3(self, capsys, tmp_path):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("0.0,1.7976931348623155e+308,-2.9937604643020797e+292\n0.0,0.0,0.0\n")
+        code, out, err = run_cli(capsys, "fpca-summary", str(wide), "--basis-size", "3")
+        assert code == 3 and out == ""
+        assert err.splitlines() == [
+            "error: observation points run from -2.9937604643020797e+292 to "
+            "1.7976931348623155e+308; the span overflows float64"
+        ]
+
     def test_usage_errors_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main([])
@@ -487,6 +519,22 @@ class TestConsoleScript:
             capture_output=True,
             text=True,
             timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_skips_scipy_linalg(self, cli_files):
+        script = (
+            "import sys\n"
+            "from fdchange.cli import main\n"
+            "assert main(['fpca-summary', sys.argv[1], '--basis-size', 'raw']) == 0\n"
+            "assert main(['critical-values', '--reps', '200', '--seed', '1']) == 0\n"
+            "sys.exit('scipy.linalg' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(cli_files / "x.csv")],
+            capture_output=True,
+            text=True,
+            timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
 

@@ -7,7 +7,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import kolmogorov
 
+from fdchange.curves import CovarianceSurface, Grid
 from fdchange.errors import ConfigurationError, ResolutionError
+from fdchange.fpca import eigendecompose
 from fdchange.limitdist import (
     bridge_sq_kernel_eigenvalues,
     bridge_sup_moments,
@@ -59,6 +61,22 @@ class TestBridgeSquaredKernelEigenvalues:
     def test_too_coarse_grid_raises(self):
         with pytest.raises(ResolutionError):
             bridge_sq_kernel_eigenvalues(49, 100)
+
+    @staticmethod
+    def _kernel_surface(points):
+        grid = Grid.uniform(points)
+        t = grid.points
+        return CovarianceSurface(grid, 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2)
+
+    def test_eigenvalue_only_solve_matches_eigendecompose(self):
+        nu = bridge_sq_kernel_eigenvalues(49, 1000)
+        full = eigendecompose(self._kernel_surface(1000), 49).eigenvalues
+        assert nu.shape == (49,)
+        assert np.allclose(nu, full, rtol=1e-12, atol=0.0)
+
+    def test_full_spectrum_keeps_the_eigendecompose_floor(self):
+        nu = bridge_sq_kernel_eigenvalues(None, 1000)
+        assert nu.size == eigendecompose(self._kernel_surface(1000), 1000).d
 
 
 class TestSimulateTld:
