@@ -67,7 +67,6 @@ from .simulation import (
     run_size_power,
 )
 from .twosample import (
-    PooledEigen,
     TwoSampleOutcome,
     pooled_covariance,
     pooled_eigensystem,

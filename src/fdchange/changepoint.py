@@ -10,7 +10,8 @@ components:
 
 The integrated squared process is compared against the simulated limit law;
 three companion statistics with standard normal limits and an argmax
-change-point estimator share the same bridge arrays.
+change-point estimator share the same bridge arrays. ``_statistics`` turns a
+method name and a list of d into statistics for every caller.
 """
 
 from __future__ import annotations
@@ -21,11 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .curves import FunctionalSample
-from .errors import (
-    ConfigurationError,
-    DegenerateDataError,
-    DimensionError,
-)
+from .errors import ConfigurationError, DegenerateDataError, DimensionError
 from .fpca import EigenSystem, ScoreMatrix, compute_scores, sample_eigensystem
 from .limitdist import LimitLaw, bridge_sup_moments
 
@@ -166,19 +163,10 @@ class TestOutcome:
 def sample_cusum(sample: FunctionalSample, d: int) -> tuple[EigenSystem, CusumMatrix]:
     """Leading ``d`` components of ``sample`` and the CUSUM of their scores.
 
-    Raises :class:`DegenerateDataError` when fewer than ``d`` survive the floor.
+    Raises the error of ``fpca._require_components`` when fewer than ``d``
+    components survive the floor.
     """
-    if d < 1:
-        raise ConfigurationError(f"d must be >= 1, got {d}")
     eig = sample_eigensystem(sample, d)
-    if eig.d == 0:
-        raise DegenerateDataError(
-            "degenerate covariance: no components above the eigenvalue floor"
-        )
-    if eig.d < d:
-        raise DimensionError(
-            f"requested d={d} but only {eig.d} components are retained above the floor"
-        )
     return eig, cusum_matrix(compute_scores(sample, eig, d))
 
 
@@ -193,7 +181,7 @@ def _diagnostics(eig) -> dict:
 def cvm2d_test(sample: FunctionalSample, d: int, law: LimitLaw) -> TestOutcome:
     """Cramer-von Mises type test: integrated squared Z against the limit law."""
     eig, cusum = sample_cusum(sample, d)
-    stat = float(_cvm_stats_by_prefix(_braces(cusum.values))[d - 1])
+    stat = float(_statistics(cusum.values, "cvm2d", [d])[0])
     return TestOutcome(
         method="cvm2d",
         statistic=stat,
@@ -204,6 +192,7 @@ def cvm2d_test(sample: FunctionalSample, d: int, law: LimitLaw) -> TestOutcome:
 
 
 def _corollary_statistic(variant: str, bridge_sq: np.ndarray, d: int) -> float:
+    """One of ``COROLLARY_VARIANTS``; callers reject any other name."""
     n = bridge_sq.shape[1] - 1
     if variant == "sup-bridge":
         mu0, sigma0 = bridge_sup_moments(n)
@@ -212,10 +201,16 @@ def _corollary_statistic(variant: str, bridge_sq: np.ndarray, d: int) -> float:
     if variant == "cvm-sum":
         integrals = bridge_sq[:d, :-1].sum(axis=1) / n
         return float((integrals.sum() - d / 6.0) / np.sqrt(d / 45.0))
-    if variant == "sup-sum":
-        peak = bridge_sq[:d].sum(axis=0).max()
-        return float((peak - d / 4.0) / np.sqrt(d / 8.0))
-    raise ConfigurationError(f"unknown corollary variant {variant!r}")
+    peak = bridge_sq[:d].sum(axis=0).max()  # sup-sum
+    return float((peak - d / 4.0) / np.sqrt(d / 8.0))
+
+
+def _statistics(cusum_values: np.ndarray, method: str, d_list) -> np.ndarray:
+    """The ``method`` statistic at each d of ``d_list`` from the leading CUSUM rows."""
+    if method == "cvm2d":
+        return _cvm_stats_by_prefix(_braces(cusum_values))[[d - 1 for d in d_list]]
+    bridge_sq = _bridge_squares(cusum_values)
+    return np.array([_corollary_statistic(method, bridge_sq, d) for d in d_list])
 
 
 def corollary_tests(cusum: CusumMatrix, variant: str) -> TestOutcome:
@@ -227,8 +222,9 @@ def corollary_tests(cusum: CusumMatrix, variant: str) -> TestOutcome:
     null means and variances. None of the three draws anything.
     One-sided: large values reject, p = P(N(0,1) > statistic).
     """
-    bridge_sq = _bridge_squares(cusum.values)
-    stat = _corollary_statistic(variant, bridge_sq, cusum.d)
+    if variant not in COROLLARY_VARIANTS:
+        raise ConfigurationError(f"unknown corollary variant {variant!r}")
+    stat = float(_statistics(cusum.values, variant, [cusum.d])[0])
     return TestOutcome(
         method=variant,
         statistic=stat,
@@ -359,26 +355,20 @@ def binary_segmentation(
 
     def examine(lo: int, hi: int) -> SegmentNode:
         length = hi - lo + 1
-        if length < min_segment:
+        usable = [d for d in d_tuple if d + 2 < length]
+        if length < min_segment or not usable:
             return SegmentNode(lo, hi, "too-short", {})
         segment = sample.rows(lo, hi)
-        usable = [d for d in d_tuple if d + 2 < length]
-        if not usable:
-            return SegmentNode(lo, hi, "too-short", {})
         try:
             eig = sample_eigensystem(segment, max(usable))
         except DegenerateDataError:
             return SegmentNode(lo, hi, "degenerate", {})
-        if eig.d == 0:
-            return SegmentNode(lo, hi, "degenerate", {})
         usable = [d for d in usable if d <= eig.d]
         if not usable:
             return SegmentNode(lo, hi, "degenerate", {})
-        scores = compute_scores(segment, eig, max(usable))
-        cusum = cusum_matrix(scores)
-        braces = _braces(cusum.values)
-        stats = _cvm_stats_by_prefix(braces)
-        p_values = {d: law.p_value(float(stats[d - 1])) for d in usable}
+        cusum = cusum_matrix(compute_scores(segment, eig, max(usable)))
+        stats = _statistics(cusum.values, "cvm2d", usable)
+        p_values = {d: law.p_value(float(s)) for d, s in zip(usable, stats)}
         rejecting = [d for d in usable if p_values[d] < alpha]
         if not rejecting:
             return SegmentNode(lo, hi, "retained", p_values)

@@ -73,8 +73,13 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(args, columns: list[str], rows: list[dict], payload: dict) -> None:
-    """Write either a CSV table or a JSON document to --out (default stdout)."""
+def _emit(args, rows: list[dict], payload: dict) -> None:
+    """Write either a CSV table or a JSON document to --out (default stdout).
+
+    The CSV columns are the keys of the first row, in order. Every report has
+    a row: an ``fpca-summary`` that retains no component stops before this, in
+    ``variance_explained``, with exit 5.
+    """
     if args.output == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -82,9 +87,9 @@ def _emit(args, columns: list[str], rows: list[dict], payload: dict) -> None:
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
+            writer.writerow([_fmt(value) for value in row.values()])
         text = buf.getvalue()
     if args.out == "-":
         sys.stdout.write(text)
@@ -213,7 +218,7 @@ def _cmd_critical_values(args) -> int:
     ]
     payload = _provenance(args, seed)
     payload.update({"K": args.truncation, "reps": args.reps, "rows": rows})
-    _emit(args, ["alpha", "critical_value", "reps", "K", "seed"], rows, payload)
+    _emit(args, rows, payload)
     return 0
 
 
@@ -237,7 +242,7 @@ def _cmd_cpt_test(args) -> int:
     payload = _provenance(args, seed)
     payload.update(row)
     payload["diagnostics"] = _jsonable(outcome.diagnostics)
-    _emit(args, ["method", "d", "n", "statistic", "p_value"], [row], payload)
+    _emit(args, [row], payload)
     return 0
 
 
@@ -248,7 +253,7 @@ def _cmd_estimate(args) -> int:
     row = {"d": args.d, "n": sample.n_curves, "theta_hat": theta}
     payload = _provenance(args)
     payload.update(row)
-    _emit(args, ["d", "n", "theta_hat"], [row], payload)
+    _emit(args, [row], payload)
     return 0
 
 
@@ -259,12 +264,9 @@ def _cmd_segment(args) -> int:
     tree = binary_segmentation(
         sample, args.d_list, args.alpha, law, min_segment=args.min_segment
     )
-    rows = tree.rows()
-    columns = ["iteration", "lo", "hi", "length", "status", "change_after", "split_d"]
-    columns += [f"p_d{d}" for d in tree.d_list]
     payload = _provenance(args, seed)
     payload["tree"] = tree.to_dict()
-    _emit(args, columns, rows, payload)
+    _emit(args, tree.rows(), payload)
     return 0
 
 
@@ -283,7 +285,7 @@ def _cmd_two_sample(args) -> int:
     payload = _provenance(args)
     payload.update(row)
     payload["diagnostics"] = _jsonable(outcome.diagnostics)
-    _emit(args, ["d", "n", "m", "statistic", "z_score", "p_value"], [row], payload)
+    _emit(args, [row], payload)
     return 0
 
 
@@ -326,12 +328,7 @@ def _cmd_simulate(args) -> int:
     ]
     payload = _provenance(args, seed)
     payload.update({"test": args.test, "m": args.m, "grid_size": args.grid_size, "rows": rows})
-    _emit(
-        args,
-        ["N", "d", "alpha", "a", "k_star", "p_hat", "band_lo", "band_hi", "R", "seed"],
-        rows,
-        payload,
-    )
+    _emit(args, rows, payload)
     return 0
 
 
@@ -361,7 +358,7 @@ def _cmd_fpca_summary(args) -> int:
             "rows": rows,
         }
     )
-    _emit(args, ["component", "eigenvalue", "spacing", "fraction", "cumulative"], rows, payload)
+    _emit(args, rows, payload)
     return 0
 
 

@@ -13,6 +13,10 @@ their own OpenBLAS with its own thread pool; a loop that alternates numpy
 matrix products with a scipy eigensolver makes the two pools take turns
 spinning on the same cores, which cost the simulation loops more than the
 solves themselves. A solve that does not converge is degenerate data.
+
+This module owns the retention rule for every test: ``_require_components``
+decides whether d components survive the floor, and raises the one error
+each shortfall maps to (a d below 1, no component, fewer than d).
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ __all__ = [
 ]
 
 
+#: Largest entry of |<v_i, v_j> - delta_ij| an eigensystem may carry.
+ORTHONORMAL_TOL = 1e-8
+
+
 def default_eigenvalue_floor(largest: float) -> float:
     """Components at or below this are treated as numerically zero."""
     return max(1e-12, 1e-10 * largest)
@@ -43,21 +51,13 @@ def default_eigenvalue_floor(largest: float) -> float:
 
 def _spacings(retained: np.ndarray, next_eigenvalue: float | None) -> np.ndarray:
     """Nearest-neighbour gaps; the first entry is the gap below the top eigenvalue."""
-    k = retained.size
-    if k == 0:
-        return np.empty(0)
-    extended = retained if next_eigenvalue is None else np.append(retained, next_eigenvalue)
-    gaps_up = np.empty(k)  # lambda_{j-1} - lambda_j
-    gaps_up[0] = np.inf
-    gaps_up[1:] = retained[:-1] - retained[1:]
-    gaps_down = np.full(k, np.inf)  # lambda_j - lambda_{j+1}
-    avail = min(k, extended.size - 1)
-    gaps_down[:avail] = extended[:avail] - extended[1 : avail + 1]
-    spac = np.minimum(gaps_up, gaps_down)
-    if k == 1:
-        spac[0] = retained[0] - (next_eigenvalue if next_eigenvalue is not None else 0.0)
-    else:
-        spac[0] = retained[0] - retained[1]
+    if next_eigenvalue is not None:
+        tail = next_eigenvalue
+    else:  # a lone component is measured against zero, the last of several only upward
+        tail = 0.0 if retained.size == 1 else -np.inf
+    gaps = retained - np.append(retained[1:], tail)
+    spac = gaps.copy()
+    spac[1:] = np.minimum(gaps[:-1], gaps[1:])
     return spac
 
 
@@ -90,7 +90,7 @@ class EigenSystem:
             if self.functions.shape != (lam.size, self.grid.size):
                 raise ValueError("eigenfunction matrix shape mismatch")
             gram = self.functions @ (self.grid.weights[:, None] * self.functions.T)
-            if float(np.max(np.abs(gram - np.eye(lam.size)))) > 1e-8:
+            if float(np.max(np.abs(gram - np.eye(lam.size)))) > ORTHONORMAL_TOL:
                 raise ValueError("eigenfunctions are not quadrature-orthonormal within 1e-8")
 
     @property
@@ -119,14 +119,9 @@ def _keep_count(eigenvalues: np.ndarray, d_max: int, floor: float | None) -> int
 
 
 def _build_eigensystem(
-    grid: Grid,
-    eigenvalues: np.ndarray,
-    functions: np.ndarray,
-    d_max: int,
-    floor: float | None,
+    grid: Grid, eigenvalues: np.ndarray, functions: np.ndarray, keep: int, d_max: int
 ) -> EigenSystem:
-    """Apply floor/cap/sign conventions to a raw descending eigendecomposition."""
-    keep = _keep_count(eigenvalues, d_max, floor)
+    """Keep the leading ``keep`` of a raw descending eigendecomposition, signs fixed."""
     next_lam = float(eigenvalues[keep]) if keep < eigenvalues.size else None
     return EigenSystem(
         grid=grid,
@@ -164,7 +159,7 @@ def eigendecompose(
     eigenvalue.
     """
     if d_max < 1:
-        raise ConfigurationError(f"d_max must be >= 1, got {d_max}")
+        raise ConfigurationError(f"d must be >= 1, got {d_max}")
     b = _weighted_kernel(surface.grid.weights, surface.values)
     vals, vecs = _eigh(b)
     trace = float(np.trace(b))
@@ -174,14 +169,18 @@ def eigendecompose(
             f"eigenvalue {vals[-1]:.3e} below -1e-8 * trace"
         )
     functions = (vecs / np.sqrt(surface.grid.weights)[:, None]).T  # rows are eigenfunctions
-    return _build_eigensystem(surface.grid, vals, functions, d_max, floor)
+    keep = _keep_count(vals, d_max, floor)
+    return _build_eigensystem(surface.grid, vals, functions, keep, d_max)
 
 
 def _gram_eigensystem(grid: Grid, rows: np.ndarray, divisor: float, d_max: int) -> EigenSystem:
     """Eigensystem of the covariance of ``rows`` (curves times W^{1/2}) / ``divisor``.
 
     Solves the small Gram matrix ``rows @ rows.T / divisor`` and lifts its
-    eigenvectors to quadrature-orthonormal eigenfunctions.
+    eigenvectors to quadrature-orthonormal eigenfunctions. The Gram solve
+    squares the condition number, so a component many orders below the top
+    can lift to a function that is not orthonormal to the others; the
+    leading components that lift cleanly are kept and the rest dropped.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         gram = rows @ rows.T / divisor
@@ -190,7 +189,10 @@ def _gram_eigensystem(grid: Grid, rows: np.ndarray, divisor: float, d_max: int) 
     keep = _keep_count(vals, d_max, None)
     lifted = (rows.T @ vecs[:, :keep]) / np.sqrt(divisor * vals[:keep])[None, :]
     functions = (lifted / np.sqrt(grid.weights)[:, None]).T
-    return _build_eigensystem(grid, vals, functions, d_max, None)
+    gram_f = functions @ (grid.weights[:, None] * functions.T)
+    i, j = np.nonzero(np.abs(gram_f - np.eye(keep)) > ORTHONORMAL_TOL)
+    keep = int(np.maximum(i, j).min()) if i.size else keep
+    return _build_eigensystem(grid, vals, functions, keep, d_max)
 
 
 def sample_eigensystem(sample: FunctionalSample, d_max: int) -> EigenSystem:
@@ -200,7 +202,7 @@ def sample_eigensystem(sample: FunctionalSample, d_max: int) -> EigenSystem:
     the floor; costs O(N^2 T) instead of O(T^3).
     """
     if d_max < 1:
-        raise ConfigurationError(f"d_max must be >= 1, got {d_max}")
+        raise ConfigurationError(f"d must be >= 1, got {d_max}")
     n, t = sample.values.shape
     if n > t:
         from .curves import empirical_covariance
@@ -245,14 +247,23 @@ class ScoreMatrix:
         return self.scores.shape[1]
 
 
-def compute_scores(sample: FunctionalSample, eig: EigenSystem, d: int) -> ScoreMatrix:
-    """Scores eta[i, j] = <X_i - mean, v_j> for the first ``d`` components."""
+def _require_components(eig: EigenSystem, d: int) -> None:
+    """Raise unless ``eig`` retains at least ``d`` >= 1 components."""
     if d < 1:
         raise ConfigurationError(f"d must be >= 1, got {d}")
-    if d > eig.d:
+    if eig.d == 0:
+        raise DegenerateDataError(
+            "degenerate covariance: no components above the eigenvalue floor"
+        )
+    if eig.d < d:
         raise DimensionError(
             f"requested d={d} but only {eig.d} components are retained above the floor"
         )
+
+
+def compute_scores(sample: FunctionalSample, eig: EigenSystem, d: int) -> ScoreMatrix:
+    """Scores eta[i, j] = <X_i - mean, v_j> for the first ``d`` components."""
+    _require_components(eig, d)
     from .curves import require_same_grid
 
     require_same_grid(sample.grid, eig.grid, "compute_scores")

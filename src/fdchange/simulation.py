@@ -6,6 +6,11 @@ of independent normal increments); the alternative adds the smooth bump
 the second sample in the two-sample design). Each replicate draws from its
 own ``(seed, r)`` stream, and all requested d and alpha values are evaluated
 on the same replicate (common random numbers).
+
+The replicate loops own no rule of their own: a change-point replicate gets
+its statistics from ``changepoint._statistics``, and a two-sample replicate
+checks its pooled components with ``fpca._require_components``, as the
+single tests do.
 """
 
 from __future__ import annotations
@@ -18,17 +23,12 @@ from scipy.special import ndtr
 
 from ._parallel import run_replicates
 from ._rng import replicate_rng
-from .changepoint import (
-    _braces,
-    _bridge_squares,
-    _corollary_statistic,
-    _cvm_stats_by_prefix,
-    sample_cusum,
-)
+from .changepoint import _statistics, sample_cusum
 from .curves import FunctionalSample, Grid
 from .errors import ConfigurationError
+from .fpca import _require_components
 from .limitdist import LimitLaw
-from .twosample import _checked_pooled_eigensystem, _projected_statistic
+from .twosample import _projected_statistic, pooled_eigensystem
 
 __all__ = [
     "SimScenario",
@@ -154,13 +154,7 @@ def _changepoint_chunk(scenario: SimScenario, test: str, start: int, stop: int) 
         if scenario.a != 0.0 and scenario.k_star is not None:
             values[scenario.k_star :] += bump
         _, cusum = sample_cusum(FunctionalSample(grid, values), d_max)
-        if test == "cvm2d":
-            stats = _cvm_stats_by_prefix(_braces(cusum.values))
-            out[r - start] = stats[[d - 1 for d in scenario.d_list]]
-        else:
-            bridge_sq = _bridge_squares(cusum.values)
-            for j, d in enumerate(scenario.d_list):
-                out[r - start, j] = _corollary_statistic(test, bridge_sq, d)
+        out[r - start] = _statistics(cusum.values, test, scenario.d_list)
     return out
 
 
@@ -179,7 +173,8 @@ def _twosample_chunk(scenario: SimScenario, start: int, stop: int) -> np.ndarray
             y_values += bump
         x = FunctionalSample(grid, x_values)
         y = FunctionalSample(grid, y_values)
-        eig = _checked_pooled_eigensystem(x, y, d_max).eigen
+        eig = pooled_eigensystem(x, y, d_max)
+        _require_components(eig, d_max)
         for j, d in enumerate(scenario.d_list):
             out[r - start, j] = _projected_statistic(x, y, eig, d)[1]
     return out

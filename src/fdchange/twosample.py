@@ -3,6 +3,8 @@
 The pooled covariance ``c_N + (N/M) c*_M`` supplies directions and scales;
 the statistic sums squared normalized projections of the mean difference and
 is compared to its normal limit after centering by d and scaling by sqrt(2d).
+Whether d pooled components exist is decided by ``fpca._require_components``,
+the rule the change-point tests use too.
 """
 
 from __future__ import annotations
@@ -17,28 +19,15 @@ from .curves import (
     FunctionalSample,
     require_same_grid,
 )
-from .errors import ConfigurationError, DegenerateDataError, DimensionError
-from .fpca import EigenSystem, _gram_eigensystem, eigendecompose
+from .errors import ConfigurationError
+from .fpca import EigenSystem, _gram_eigensystem, _require_components, eigendecompose
 
 __all__ = [
-    "PooledEigen",
     "TwoSampleOutcome",
     "pooled_covariance",
     "pooled_eigensystem",
     "two_sample_test",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class PooledEigen:
-    """Eigensystem of the pooled covariance plus the sample-size ratio N/M."""
-
-    eigen: EigenSystem
-    ratio: float
-
-    def __post_init__(self) -> None:
-        if not self.ratio > 0:
-            raise ValueError(f"sample-size ratio must be positive, got {self.ratio}")
 
 
 @dataclass(frozen=True)
@@ -69,43 +58,19 @@ def pooled_covariance(x: FunctionalSample, y: FunctionalSample) -> CovarianceSur
     return CovarianceSurface(x.grid, _finite_covariance(pooled))
 
 
-def pooled_eigensystem(
-    x: FunctionalSample, y: FunctionalSample, d_max: int
-) -> PooledEigen:
+def pooled_eigensystem(x: FunctionalSample, y: FunctionalSample, d_max: int) -> EigenSystem:
     """Leading pooled components, via an (N+M) Gram solve when that is smaller."""
     require_same_grid(x.grid, y.grid, "pooled_eigensystem")
     if d_max < 1:
-        raise ConfigurationError(f"d_max must be >= 1, got {d_max}")
+        raise ConfigurationError(f"d must be >= 1, got {d_max}")
     n, m = x.n_curves, y.n_curves
-    t = x.grid.size
-    ratio = n / m
-    if n + m > t:
-        eig = eigendecompose(pooled_covariance(x, y), d_max)
-        return PooledEigen(eig, ratio)
+    if n + m > x.grid.size:
+        return eigendecompose(pooled_covariance(x, y), d_max)
     w_half = np.sqrt(x.grid.weights)
     xc = (x.values - x.values.mean(axis=0)) * w_half[None, :]
     yc = (y.values - y.values.mean(axis=0)) * w_half[None, :]
     stacked = np.vstack([xc / np.sqrt(n), yc * (np.sqrt(n) / m)])
-    return PooledEigen(_gram_eigensystem(x.grid, stacked, 1, d_max), ratio)
-
-
-def _checked_pooled_eigensystem(
-    x: FunctionalSample, y: FunctionalSample, d: int
-) -> PooledEigen:
-    """Pooled components with at least ``d`` retained, or the matching error."""
-    if d < 1:
-        raise ConfigurationError(f"d must be >= 1, got {d}")
-    pooled = pooled_eigensystem(x, y, d)
-    eig = pooled.eigen
-    if eig.d == 0:
-        raise DegenerateDataError(
-            "degenerate pooled covariance: no components above the eigenvalue floor"
-        )
-    if eig.d < d:
-        raise DimensionError(
-            f"requested d={d} but only {eig.d} pooled components are available"
-        )
-    return pooled
+    return _gram_eigensystem(x.grid, stacked, 1, d_max)
 
 
 def _projected_statistic(
@@ -122,8 +87,8 @@ def two_sample_test(
     x: FunctionalSample, y: FunctionalSample, d: int
 ) -> TwoSampleOutcome:
     """Compare sample means in the leading d pooled components."""
-    pooled = _checked_pooled_eigensystem(x, y, d)
-    eig = pooled.eigen
+    eig = pooled_eigensystem(x, y, d)
+    _require_components(eig, d)
     statistic, z = _projected_statistic(x, y, eig, d)
     return TwoSampleOutcome(
         statistic=statistic,
@@ -133,6 +98,6 @@ def two_sample_test(
         diagnostics={
             "eigenvalues": eig.eigenvalues[:d].copy(),
             "spacings": eig.spacings[:d].copy(),
-            "ratio": pooled.ratio,
+            "ratio": x.n_curves / y.n_curves,
         },
     )

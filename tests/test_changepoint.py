@@ -273,6 +273,30 @@ class TestBinarySegmentation:
         assert tree.root.status == "retained"
         assert tree.change_points() == []
 
+    def test_identical_curves_are_degenerate(self, law20k):
+        grid = Grid.uniform(51)
+        sample = FunctionalSample(grid, np.tile(np.sin(3.0 * grid.points), (20, 1)))
+        tree = binary_segmentation(sample, (3,), alpha=0.05, law=law20k)
+        assert tree.root.status == "degenerate" and tree.root.p_values == {}
+        assert tree.nodes() == [tree.root]
+
+    @staticmethod
+    def _rank_sample(rank, n=40, seed=24):
+        grid = Grid.uniform(61)
+        basis = np.vstack([np.sin((j + 1) * np.pi * grid.points) for j in range(rank)])
+        coef = np.random.default_rng(seed).standard_normal((n, rank))
+        return FunctionalSample(grid, coef @ basis)
+
+    def test_rank_limits_the_tested_d(self, law20k):
+        sample = self._rank_sample(3)
+        tree = binary_segmentation(sample, (2, 5), alpha=0.05, law=law20k)
+        assert tree.root.status in ("retained", "rejected")
+        assert set(tree.root.p_values) == {2}
+
+    def test_rank_below_every_d_is_degenerate(self, law20k):
+        tree = binary_segmentation(self._rank_sample(1), (2, 3), alpha=0.05, law=law20k)
+        assert tree.root.status == "degenerate" and tree.root.p_values == {}
+
     def test_validation(self, law20k):
         sample = generate_bm_sample(20, 50, seed=23)
         with pytest.raises(ConfigurationError):

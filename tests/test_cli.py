@@ -398,6 +398,44 @@ class TestExitCodes:
         assert code == 5 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cpt-test", "{x}", "--reps", "500", "--seed", "1"),
+            ("cpt-test", "{x}", "--method", "cvm-sum"),
+            ("estimate", "{x}"),
+            ("two-sample", "{x}", "{x}"),
+            ("fpca-summary", "{x}"),
+        ],
+        ids=["cvm2d", "cvm-sum", "estimate", "two-sample", "fpca-summary"],
+    )
+    def test_d_below_one_is_exit_4(self, capsys, cli_files, argv):
+        argv = [a.format(x=cli_files / "x.csv") for a in argv]
+        code, out, err = run_cli(capsys, *argv, *RAW, "--d", "0")
+        assert code == 4 and out == ""
+        assert err.splitlines()[-1] == "error: d must be >= 1, got 0"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fpca_summary_of_identical_curves_is_exit_5(self, capsys, cli_files, fmt):
+        # No component survives the floor: the report would have no rows.
+        code, out, err = run_cli(
+            capsys, "fpca-summary", str(cli_files / "const.csv"), *RAW, "--output", fmt
+        )
+        assert code == 5 and out == ""
+        assert err.splitlines() == ["error: no eigenvalues to summarize"]
+
+    def test_component_that_lifts_unclean_is_dropped(self, capsys, tmp_path):
+        # The Gram solve keeps a component about 5e-9 of the top one whose
+        # lifted eigenfunction is not orthonormal to the first.
+        rows = tmp_path / "lift.csv"
+        rows.write_text("0.0,0.5,0,0,0,0\n0,69,0,0,0,3.0\n0,93,0,0,0,4.0\n0,0,0,0,0,0\n")
+        code, out, err = run_cli(
+            capsys, "fpca-summary", str(rows), "--basis-size", "3", "--grid-size", "7",
+            "--d", "2", "--output", "json",
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["retained_d"] == 1
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_bad_worker_count_is_exit_4(self, capsys, cli_files, workers):
         code, _, err = run_cli(

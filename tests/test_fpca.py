@@ -9,6 +9,7 @@ from scipy.stats import shapiro
 from fdchange.curves import CovarianceSurface, FunctionalSample, Grid, empirical_covariance
 from fdchange.errors import DegenerateDataError, DimensionError
 from fdchange.fpca import (
+    _spacings,
     compute_scores,
     eigendecompose,
     sample_eigensystem,
@@ -87,6 +88,39 @@ class TestEigendecompose:
             assert eig.spacings[j] == pytest.approx(
                 min(lam[j - 1] - lam[j], lam[j] - lam[j + 1]), rel=1e-12
             )
+
+    def test_spacings_match_the_gap_by_gap_reference(self):
+        def reference(retained, next_eigenvalue):
+            k = retained.size
+            if k == 0:
+                return np.empty(0)
+            extended = (
+                retained if next_eigenvalue is None else np.append(retained, next_eigenvalue)
+            )
+            gaps_up = np.empty(k)  # lambda_{j-1} - lambda_j
+            gaps_up[0] = np.inf
+            gaps_up[1:] = retained[:-1] - retained[1:]
+            gaps_down = np.full(k, np.inf)  # lambda_j - lambda_{j+1}
+            avail = min(k, extended.size - 1)
+            gaps_down[:avail] = extended[:avail] - extended[1 : avail + 1]
+            spac = np.minimum(gaps_up, gaps_down)
+            if k == 1:
+                spac[0] = retained[0] - (next_eigenvalue if next_eigenvalue is not None else 0.0)
+            else:
+                spac[0] = retained[0] - retained[1]
+            return spac
+
+        rng = np.random.default_rng(2024)
+        for _ in range(4000):
+            k = int(rng.integers(0, 8))
+            spectrum = np.sort(rng.exponential(size=k + 1))[::-1]
+            if k > 1 and rng.random() < 0.3:  # ties
+                spectrum[1] = spectrum[0]
+            if rng.random() < 0.3:
+                spectrum = np.round(spectrum, 1)
+            nxt = float(spectrum[k]) if rng.random() < 0.5 else None
+            retained = spectrum[:k].copy()
+            assert _spacings(retained, nxt).tobytes() == reference(retained, nxt).tobytes()
 
     def test_full_decomposition_reproduces_trace(self):
         sample = generate_bm_sample(30, 40, seed=8)

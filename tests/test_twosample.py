@@ -60,7 +60,7 @@ class TestPooledEigensystem:
         # through the public covariance and compare.
         x = generate_bm_sample(30, 150, seed=9)
         y = generate_bm_sample(20, 150, seed=10)
-        fast = pooled_eigensystem(x, y, 4).eigen
+        fast = pooled_eigensystem(x, y, 4)
         dense = eigendecompose(pooled_covariance(x, y), 4)
         assert np.allclose(fast.eigenvalues, dense.eigenvalues, rtol=1e-10)
         assert np.allclose(fast.functions, dense.functions, atol=1e-7)
@@ -106,7 +106,7 @@ class TestTwoSampleTest:
         # evaluated along y + a * bump is a parabola in a.
         x = generate_bm_sample(40, 90, seed=18)
         y0 = generate_bm_sample(40, 90, seed=19)
-        eig = pooled_eigensystem(x, y0, 3).eigen
+        eig = pooled_eigensystem(x, y0, 3)
         t = x.grid.points
         bump = t * (1.0 - t)
 
