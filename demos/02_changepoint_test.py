@@ -30,9 +30,10 @@ shifted = inject_shift(clean, a=1.2, k_star=120)
 
 law = simulate_tld(truncation=49, reps=20_000, seed=2, workers=2)
 
-out = cvm2d_test(shifted, d=5, law=law)
+eig5, cusum5 = sample_cusum(shifted, 5)  # leading 5 components, CUSUM of their scores
+out = cvm2d_test(eig5, cusum5, law)
 print(f"shifted sample:  statistic {out.statistic:.4f}, p = {out.p_value:.4f}")
-null_out = cvm2d_test(clean, d=5, law=law)
+null_out = cvm2d_test(*sample_cusum(clean, 5), law)
 print(f"clean sample:    statistic {null_out.statistic:.4f}, p = {null_out.p_value:.4f}")
 
 # ----------------------------------------------------------------------
@@ -59,6 +60,5 @@ for variant in ("cvm-sum", "sup-sum", "sup-bridge"):
 # Where is the change?  The estimator returns the length of the
 # pre-change prefix (true value here: 120).
 
-_, cusum5 = sample_cusum(shifted, 5)
 theta = estimate_changepoint(cusum5)
 print(f"\nestimated change after curve {theta} (true: 120)")

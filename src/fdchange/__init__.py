@@ -23,12 +23,9 @@ from .changepoint import (
 )
 from .curves import (
     CovarianceSurface,
-    Curve,
     FunctionalSample,
     Grid,
     empirical_covariance,
-    inner_product,
-    sample_mean,
 )
 from .errors import (
     ConfigurationError,
@@ -46,7 +43,6 @@ from .fpca import (
     compute_scores,
     eigendecompose,
     sample_eigensystem,
-    suggest_d,
     variance_explained,
 )
 from .ingest import IngestionConfig, ingest, write_sample_csv
@@ -54,6 +50,7 @@ from .limitdist import (
     LimitLaw,
     bridge_sq_kernel_eigenvalues,
     bridge_sup_moments,
+    normal_p_value,
     simulate_gamma_functional,
     simulate_tld,
     wiener_eigenvalues,

@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .curves import FunctionalSample
 from .errors import ConfigurationError, DegenerateDataError, DimensionError
 from .fpca import EigenSystem, ScoreMatrix, compute_scores, sample_eigensystem
-from .limitdist import LimitLaw, bridge_sup_moments
+from .limitdist import LimitLaw, bridge_sup_moments, normal_p_value
 
 __all__ = [
     "CusumMatrix",
@@ -42,6 +41,8 @@ __all__ = [
 ]
 
 COROLLARY_VARIANTS = ("sup-bridge", "cvm-sum", "sup-sum")
+#: Every change-point test: the limit-law one and its normal-limit companions.
+CHANGEPOINT_TESTS = ("cvm2d",) + COROLLARY_VARIANTS
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,24 +171,22 @@ def sample_cusum(sample: FunctionalSample, d: int) -> tuple[EigenSystem, CusumMa
     return eig, cusum_matrix(compute_scores(sample, eig, d))
 
 
-def _diagnostics(eig) -> dict:
-    return {
-        "eigenvalues": eig.eigenvalues.copy(),
-        "spacings": eig.spacings.copy(),
-        "truncated": eig.truncated,
-    }
+def cvm2d_test(eig: EigenSystem, cusum: CusumMatrix, law: LimitLaw) -> TestOutcome:
+    """Cramer-von Mises type test: integrated squared Z against the limit law.
 
-
-def cvm2d_test(sample: FunctionalSample, d: int, law: LimitLaw) -> TestOutcome:
-    """Cramer-von Mises type test: integrated squared Z against the limit law."""
-    eig, cusum = sample_cusum(sample, d)
-    stat = float(_statistics(cusum.values, "cvm2d", [d])[0])
+    ``eig`` and ``cusum`` are the pair ``sample_cusum`` returns.
+    """
+    stat = float(_statistics(cusum.values, "cvm2d", [cusum.d])[0])
     return TestOutcome(
         method="cvm2d",
         statistic=stat,
         p_value=law.p_value(stat),
-        d=d,
-        diagnostics=_diagnostics(eig),
+        d=cusum.d,
+        diagnostics={
+            "eigenvalues": eig.eigenvalues.copy(),
+            "spacings": eig.spacings.copy(),
+            "truncated": eig.truncated,
+        },
     )
 
 
@@ -228,7 +227,7 @@ def corollary_tests(cusum: CusumMatrix, variant: str) -> TestOutcome:
     return TestOutcome(
         method=variant,
         statistic=stat,
-        p_value=float(ndtr(-stat)),
+        p_value=normal_p_value(stat),
         d=cusum.d,
         diagnostics={},
     )
@@ -329,6 +328,20 @@ class SegmentationTree:
         }
 
 
+def _segmentation_d_list(d_list, alpha: float, min_segment: int) -> tuple[int, ...]:
+    """``d_list`` as a tuple, once the settings of ``binary_segmentation`` pass its checks."""
+    d_tuple = tuple(int(d) for d in d_list)
+    if not d_tuple:
+        raise ConfigurationError("d_list must not be empty")
+    if min(d_tuple) < 2:
+        raise ConfigurationError("segmentation requires every d >= 2")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
+    if min_segment < 8:
+        raise ConfigurationError(f"min_segment must be >= 8, got {min_segment}")
+    return d_tuple
+
+
 def binary_segmentation(
     sample: FunctionalSample,
     d_list: tuple[int, ...] | list[int],
@@ -343,15 +356,7 @@ def binary_segmentation(
     if any test rejects at ``alpha``, the split point is estimated with the
     first rejecting d and both halves are recursed into.
     """
-    d_tuple = tuple(int(d) for d in d_list)
-    if not d_tuple:
-        raise ConfigurationError("d_list must not be empty")
-    if min(d_tuple) < 2:
-        raise ConfigurationError("segmentation requires every d >= 2")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
-    if min_segment < 8:
-        raise ConfigurationError(f"min_segment must be >= 8, got {min_segment}")
+    d_tuple = _segmentation_d_list(d_list, alpha, min_segment)
 
     def examine(lo: int, hi: int) -> SegmentNode:
         length = hi - lo + 1

@@ -9,9 +9,10 @@ The randomized commands are ``critical-values``, ``segment``, ``simulate``
 and ``cpt-test --method cvm2d``, which draw a Monte Carlo law or replicates.
 Each prints the effective seed on stderr so a rerun with ``--seed``
 reproduces its output byte for byte, and then checks that ``--out`` can be
-written before it draws anything. The other commands are deterministic;
-``cpt-test`` with a normal-limit method (``sup-bridge``, ``cvm-sum`` or
-``sup-sum``) ignores ``--reps``, ``--seed`` and ``--workers``.
+written before it draws anything. ``cpt-test`` and ``segment`` check their
+settings and read their input before that. The other commands are
+deterministic; ``cpt-test`` with a normal-limit method (``sup-bridge``,
+``cvm-sum`` or ``sup-sum``) ignores ``--reps``, ``--seed`` and ``--workers``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 from . import __version__
 from ._rng import resolve_seed
 from .changepoint import (
-    COROLLARY_VARIANTS,
+    CHANGEPOINT_TESTS,
+    _segmentation_d_list,
     binary_segmentation,
     corollary_tests,
     cvm2d_test,
@@ -49,8 +51,6 @@ from .twosample import two_sample_test
 _EXIT_PARSE = 3
 _EXIT_CONFIG = 4
 _EXIT_DEGENERATE = 5
-
-_METHODS = ("cvm2d",) + COROLLARY_VARIANTS
 
 
 def _fmt(value) -> str:
@@ -224,13 +224,13 @@ def _cmd_critical_values(args) -> int:
 
 def _cmd_cpt_test(args) -> int:
     sample = _load_sample(args, args.input)
+    eig, cusum = sample_cusum(sample, args.d)
     seed = None
     if args.method == "cvm2d":
         seed = _start_draws(args)
         law = simulate_tld(args.truncation, args.reps, seed=seed, workers=args.workers)
-        outcome = cvm2d_test(sample, args.d, law)
+        outcome = cvm2d_test(eig, cusum, law)
     else:
-        _, cusum = sample_cusum(sample, args.d)
         outcome = corollary_tests(cusum, args.method)
     row = {
         "method": outcome.method,
@@ -258,6 +258,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    _segmentation_d_list(args.d_list, args.alpha, args.min_segment)
     sample = _load_sample(args, args.input)
     seed = _start_draws(args)
     law = simulate_tld(args.truncation, args.reps, seed=seed, workers=args.workers)
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cpt-test", help="test a sample of curves for a mean change")
     p.add_argument("input", help="CSV file of curves")
     p.add_argument("--d", type=int, default=5, help="number of projections (default 5)")
-    p.add_argument("--method", choices=_METHODS, default="cvm2d",
+    p.add_argument("--method", choices=CHANGEPOINT_TESTS, default="cvm2d",
                    help="test statistic (default cvm2d)")
     _add_ingest_flags(p)
     _add_law_flags(p)
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_two_sample)
 
     p = sub.add_parser("simulate", help="size/power study on simulated Brownian samples")
-    p.add_argument("--test", choices=_METHODS + ("two-sample",), default="cvm2d")
+    p.add_argument("--test", choices=CHANGEPOINT_TESTS + ("two-sample",), default="cvm2d")
     p.add_argument("--n", type=int, required=True, help="curves per sample")
     p.add_argument("--m", type=int, default=None,
                    help="second-sample size for two-sample (default: n)")

@@ -1,4 +1,4 @@
-"""Discretized curves on [0, 1]: grids, samples, means and covariances.
+"""Discretized curves on [0, 1]: grids, samples and covariances.
 
 Curves are stored as raw evaluations on a shared quadrature grid. All
 integrals in the package reduce to weighted sums over such grids; the only
@@ -16,11 +16,8 @@ from .errors import DegenerateDataError, GridMismatchError, InsufficientSampleEr
 
 __all__ = [
     "Grid",
-    "Curve",
     "FunctionalSample",
     "CovarianceSurface",
-    "inner_product",
-    "sample_mean",
     "empirical_covariance",
 ]
 
@@ -102,23 +99,6 @@ def require_same_grid(a: Grid, b: Grid, context: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class Curve:
-    """A single function sampled on a grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen(self.values))
-        if self.values.shape != (self.grid.size,):
-            raise ValueError(
-                f"curve has {self.values.shape} values for a {self.grid.size}-point grid"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("curve values must be finite")
-
-
-@dataclass(frozen=True, eq=False)
 class FunctionalSample:
     """N curves (rows) sharing one grid."""
 
@@ -144,9 +124,6 @@ class FunctionalSample:
     @property
     def n_curves(self) -> int:
         return self.values.shape[0]
-
-    def curve(self, i: int) -> Curve:
-        return Curve(self.grid, self.values[i])
 
     def rows(self, lo: int, hi: int) -> "FunctionalSample":
         """Sub-sample of curves ``lo..hi`` inclusive (same grid)."""
@@ -179,17 +156,6 @@ class CovarianceSurface:
     def trace(self) -> float:
         """Quadrature integral of the diagonal, sum of all operator eigenvalues."""
         return float(np.dot(self.grid.weights, np.diagonal(self.values)))
-
-
-def inner_product(f: Curve, g: Curve) -> float:
-    """L2([0,1]) inner product of two curves on the same grid."""
-    require_same_grid(f.grid, g.grid, "inner_product")
-    return float(np.dot(f.grid.weights, f.values * g.values))
-
-
-def sample_mean(sample: FunctionalSample) -> Curve:
-    """Pointwise mean curve."""
-    return Curve(sample.grid, sample.values.mean(axis=0))
 
 
 def _finite_covariance(values: np.ndarray) -> np.ndarray:

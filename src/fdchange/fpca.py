@@ -8,11 +8,9 @@ gets the same decomposition from N weighted curve rows via an N x N solve; it
 serves the sample and the pooled two-sample decompositions and thereby the
 simulation loops.
 
-Every eigensolve goes through ``numpy.linalg``. numpy and scipy each ship
-their own OpenBLAS with its own thread pool; a loop that alternates numpy
-matrix products with a scipy eigensolver makes the two pools take turns
-spinning on the same cores, which cost the simulation loops more than the
-solves themselves. A solve that does not converge is degenerate data.
+Every eigensolve goes through ``numpy.linalg``, so that a run drives one
+BLAS library and thread pool. A solve that does not converge is degenerate
+data.
 
 This module owns the retention rule for every test: ``_require_components``
 decides whether d components survive the floor, and raises the one error
@@ -21,12 +19,11 @@ each shortfall maps to (a d below 1, no component, fewer than d).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import CovarianceSurface, Curve, FunctionalSample, Grid, _finite_covariance
+from .curves import CovarianceSurface, FunctionalSample, Grid, _finite_covariance
 from .errors import ConfigurationError, DegenerateDataError, DimensionError
 
 __all__ = [
@@ -36,7 +33,6 @@ __all__ = [
     "sample_eigensystem",
     "compute_scores",
     "variance_explained",
-    "suggest_d",
 ]
 
 
@@ -73,7 +69,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     functions: np.ndarray = field(repr=False)  # (d, T), quadrature-orthonormal rows
     spacings: np.ndarray
-    requested: int
     truncated: bool
 
     def __post_init__(self) -> None:
@@ -96,9 +91,6 @@ class EigenSystem:
     @property
     def d(self) -> int:
         return self.eigenvalues.size
-
-    def function(self, j: int) -> Curve:
-        return Curve(self.grid, self.functions[j])
 
 
 def _fix_signs(functions: np.ndarray) -> np.ndarray:
@@ -128,7 +120,6 @@ def _build_eigensystem(
         eigenvalues=eigenvalues[:keep].copy(),
         functions=_fix_signs(functions[:keep]),
         spacings=_spacings(eigenvalues[:keep], next_lam),
-        requested=d_max,
         truncated=keep < d_max,
     )
 
@@ -290,20 +281,3 @@ def variance_explained(eigenvalues) -> np.ndarray:
     if total <= 0:
         raise DegenerateDataError("total variance is zero")
     return np.cumsum(lam) / total
-
-
-def suggest_d(n: int, mode: str = "power-law", beta: float = 1.0) -> int:
-    """Slowly growing projection count: ceil(log(N)^beta) or ceil(loglog(N)^beta), floor 2."""
-    if n < 3:
-        raise ConfigurationError(f"need n >= 3 to suggest a dimension, got {n}")
-    if beta <= 0:
-        raise ConfigurationError(f"beta must be positive, got {beta}")
-    if mode == "power-law":
-        base = math.log(n)
-    elif mode == "exponential":
-        base = math.log(math.log(n))
-    else:
-        raise ConfigurationError(f"unknown growth mode {mode!r}")
-    if base <= 0:
-        return 2
-    return max(2, math.ceil(base**beta))

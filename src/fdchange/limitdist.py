@@ -12,7 +12,9 @@ bridge). This module simulates that law two independent ways:
   Wiener sheet via a time rescaling, integrated by quadrature.
 
 It also gives the mean and sd of the maximum of a squared Brownian bridge on
-a grid, in closed form, for the ``sup-bridge`` normal-limit test.
+a grid, in closed form, for the ``sup-bridge`` normal-limit test, and the
+upper-tail p-value ``normal_p_value`` of every test with a standard normal
+limit.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "wiener_eigenvalues",
     "bridge_sq_kernel_eigenvalues",
     "LimitLaw",
+    "normal_p_value",
     "simulate_tld",
     "simulate_gamma_functional",
     "bridge_sup_moments",
@@ -132,6 +135,18 @@ class LimitLaw:
         exceed = self.reps - np.searchsorted(self.samples, statistic, side="right")
         p = (1 + exceed) / (1 + self.reps)
         return float(p) if np.ndim(p) == 0 else p
+
+
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def normal_p_value(z: float | np.ndarray) -> float | np.ndarray:
+    """Upper-tail p-value P(N(0, 1) > z) = erfc(z / sqrt(2)) / 2 of a normal-limit test.
+
+    A scalar statistic gives a float, an array an array of the same shape.
+    """
+    p = 0.5 * _erfc(np.multiply(z, math.sqrt(0.5)))
+    return float(p) if np.ndim(p) == 0 else p
 
 
 def _tld_chunk(seed: int, lam: np.ndarray, nu: np.ndarray, start: int, stop: int) -> np.ndarray:

@@ -19,15 +19,14 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._parallel import run_replicates
 from ._rng import replicate_rng
-from .changepoint import _statistics, sample_cusum
+from .changepoint import CHANGEPOINT_TESTS, _statistics, sample_cusum
 from .curves import FunctionalSample, Grid
 from .errors import ConfigurationError
 from .fpca import _require_components
-from .limitdist import LimitLaw
+from .limitdist import LimitLaw, normal_p_value
 from .twosample import _projected_statistic, pooled_eigensystem
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
 #: Normal-quantile multiplier for the 90% Monte Carlo bands reported alongside
 #: every rejection fraction.
 BAND_MULTIPLIER = 1.654
-
-CHANGEPOINT_TESTS = ("cvm2d", "sup-bridge", "cvm-sum", "sup-sum")
 
 
 @dataclass(frozen=True)
@@ -129,12 +126,6 @@ class SimReport:
                 return row["p_hat"]
         raise KeyError(f"no row for d={d}, alpha={alpha}")
 
-    def band(self, d: int, alpha: float) -> tuple[float, float]:
-        for row in self.rows:
-            if row["d"] == d and row["alpha"] == alpha:
-                return row["band_lo"], row["band_hi"]
-        raise KeyError(f"no row for d={d}, alpha={alpha}")
-
 
 def confidence_band(p_hat: float, reps: int) -> tuple[float, float]:
     """90% Monte Carlo band around an estimated rejection probability."""
@@ -197,14 +188,14 @@ def run_size_power(
         stats = run_replicates(
             partial(_twosample_chunk, scenario), scenario.reps, workers
         )
-        p_values = ndtr(-stats)
+        p_values = normal_p_value(stats)
     elif test in CHANGEPOINT_TESTS:
         if test == "cvm2d" and law is None:
             raise ConfigurationError("cvm2d needs a simulated LimitLaw")
         stats = run_replicates(
             partial(_changepoint_chunk, scenario, test), scenario.reps, workers
         )
-        p_values = law.p_value(stats) if test == "cvm2d" else ndtr(-stats)
+        p_values = law.p_value(stats) if test == "cvm2d" else normal_p_value(stats)
     else:
         raise ConfigurationError(f"unknown test {test!r}")
 

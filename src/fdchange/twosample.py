@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .curves import (
     CovarianceSurface,
@@ -21,6 +20,7 @@ from .curves import (
 )
 from .errors import ConfigurationError
 from .fpca import EigenSystem, _gram_eigensystem, _require_components, eigendecompose
+from .limitdist import normal_p_value
 
 __all__ = [
     "TwoSampleOutcome",
@@ -93,7 +93,7 @@ def two_sample_test(
     return TwoSampleOutcome(
         statistic=statistic,
         z_score=z,
-        p_value=float(ndtr(-z)),
+        p_value=normal_p_value(z),
         d=d,
         diagnostics={
             "eigenvalues": eig.eigenvalues[:d].copy(),

@@ -18,6 +18,7 @@ from fdchange.changepoint import (
     cusum_matrix,
     cvm2d_test,
     estimate_changepoint,
+    sample_cusum,
     z_process,
 )
 from fdchange._parallel import run_replicates
@@ -146,13 +147,13 @@ class TestIntegratedSquareStatistic:
 
     def test_rejects_enormous_shift(self, law20k):
         sample = inject_shift(generate_bm_sample(100, 300, seed=13), 100.0, 50)
-        outcome = cvm2d_test(sample, 3, law20k)
+        outcome = cvm2d_test(*sample_cusum(sample, 3), law20k)
         assert outcome.p_value < 0.001
         assert outcome.method == "cvm2d"
 
     def test_outcome_carries_diagnostics(self, law20k):
         sample = generate_bm_sample(40, 120, seed=14)
-        outcome = cvm2d_test(sample, 3, law20k)
+        outcome = cvm2d_test(*sample_cusum(sample, 3), law20k)
         assert 0.0 <= outcome.p_value <= 1.0
         assert outcome.d == 3
         assert len(outcome.diagnostics["eigenvalues"]) == 3

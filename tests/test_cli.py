@@ -477,6 +477,32 @@ class TestExitCodes:
             assert lines[1].startswith("error: cannot write")
 
     @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (("segment", "--d-list", "1,3"), 4, "segmentation requires every d >= 2"),
+            (("segment", "--d-list", ","), 4, "d_list must not be empty"),
+            (("segment", "--alpha", "1.5"), 4, "alpha must be in (0, 1), got 1.5"),
+            (("segment", "--min-segment", "2"), 4, "min_segment must be >= 8, got 2"),
+            (("cpt-test", "--d", "0"), 4, "d must be >= 1, got 0"),
+            (("cpt-test", "--d", "45"), 5, "requested d=45 but only"),
+        ],
+        ids=["d-list", "empty-d-list", "alpha", "min-segment", "d-zero", "d-too-large"],
+    )
+    def test_bad_settings_fail_before_the_law_is_drawn(
+        self, capsys, cli_files, monkeypatch, argv, code, message
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the limit law was simulated")
+
+        monkeypatch.setattr("fdchange.cli.simulate_tld", no_draws)
+        command, *flags = argv
+        exit_code, out, err = run_cli(
+            capsys, command, str(cli_files / "x.csv"), *RAW, *flags, "--seed", "1"
+        )
+        assert exit_code == code and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("critical-values", "--reps", "200"),
@@ -561,12 +587,21 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
 
     def test_cli_import_skips_scipy_linalg(self, cli_files):
+        # numpy is the only runtime dependency: no scipy module at all is
+        # loaded by the import or by commands that cover every p-value route.
         script = (
             "import sys\n"
             "from fdchange.cli import main\n"
-            "assert main(['fpca-summary', sys.argv[1], '--basis-size', 'raw']) == 0\n"
+            "x, raw = sys.argv[1], ['--basis-size', 'raw']\n"
+            "sim = ['--n', '20', '--grid-size', '50', '--reps', '5', '--seed', '1']\n"
+            "assert main(['fpca-summary', x, *raw]) == 0\n"
+            "assert main(['cpt-test', x, *raw, '--method', 'cvm-sum']) == 0\n"
+            "assert main(['two-sample', x, x, *raw]) == 0\n"
+            "assert main(['simulate', '--test', 'two-sample', *sim]) == 0\n"
+            "assert main(['simulate', '--test', 'sup-sum', *sim]) == 0\n"
             "assert main(['critical-values', '--reps', '200', '--seed', '1']) == 0\n"
-            "sys.exit('scipy.linalg' in sys.modules)\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "sys.exit(f'scipy modules loaded: {loaded}' if loaded else 0)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, str(cli_files / "x.csv")],

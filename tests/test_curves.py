@@ -1,25 +1,28 @@
-"""Grids, inner products, means, and empirical covariance surfaces."""
+"""Grids, the quadrature inner product, samples and empirical covariance surfaces."""
 
 import numpy as np
 import pytest
 
 from fdchange.curves import (
     CovarianceSurface,
-    Curve,
     FunctionalSample,
     Grid,
     empirical_covariance,
-    inner_product,
-    sample_mean,
+    require_same_grid,
     trapezoid_weights,
 )
 from fdchange.errors import GridMismatchError, InsufficientSampleError
 from fdchange.simulation import generate_bm_sample
 
 
+def inner_product(grid, f, g):
+    """The L2([0, 1]) inner product under the grid's quadrature weights."""
+    return float(grid.weights @ (f * g))
+
+
 def uniform_curve(fn, size=1001):
     grid = Grid.uniform(size)
-    return Curve(grid, fn(grid.points))
+    return grid, fn(grid.points)
 
 
 class TestGrid:
@@ -58,54 +61,36 @@ class TestGrid:
 
 class TestInnerProduct:
     def test_constant_one_integrates_to_one(self):
-        f = uniform_curve(lambda t: np.ones_like(t), size=7)
-        assert inner_product(f, f) == pytest.approx(1.0, abs=1e-12)
+        grid, f = uniform_curve(lambda t: np.ones_like(t), size=7)
+        assert inner_product(grid, f, f) == pytest.approx(1.0, abs=1e-12)
 
     def test_t_squared_integral(self):
-        f = uniform_curve(lambda t: t)
-        assert inner_product(f, f) == pytest.approx(1.0 / 3.0, abs=1e-3)
+        grid, f = uniform_curve(lambda t: t)
+        assert inner_product(grid, f, f) == pytest.approx(1.0 / 3.0, abs=1e-3)
 
     def test_sine_cosine_orthogonal(self):
-        s = uniform_curve(lambda t: np.sin(2 * np.pi * t))
-        c = uniform_curve(lambda t: np.cos(2 * np.pi * t))
-        assert inner_product(s, c) == pytest.approx(0.0, abs=1e-3)
+        grid, s = uniform_curve(lambda t: np.sin(2 * np.pi * t))
+        _, c = uniform_curve(lambda t: np.cos(2 * np.pi * t))
+        assert inner_product(grid, s, c) == pytest.approx(0.0, abs=1e-3)
 
     def test_symmetric_and_nonnegative(self):
         rng = np.random.default_rng(11)
         grid = Grid.uniform(51)
-        f = Curve(grid, rng.standard_normal(51))
-        g = Curve(grid, rng.standard_normal(51))
-        assert inner_product(f, g) == inner_product(g, f)
-        assert inner_product(f, f) >= 0.0
+        f, g = rng.standard_normal((2, 51))
+        assert inner_product(grid, f, g) == inner_product(grid, g, f)
+        assert inner_product(grid, f, f) >= 0.0
 
     def test_mismatched_grids_raise(self):
-        f = uniform_curve(lambda t: t, size=11)
-        g = uniform_curve(lambda t: t, size=12)
         with pytest.raises(GridMismatchError):
-            inner_product(f, g)
+            require_same_grid(Grid.uniform(11), Grid.uniform(12), "inner product")
 
 
 class TestSampleMean:
-    def test_antisymmetric_pair_has_zero_mean(self):
-        grid = Grid.uniform(31)
-        f = np.sin(5 * grid.points)
-        sample = FunctionalSample(grid, np.vstack([f, -f]))
-        assert np.max(np.abs(sample_mean(sample).values)) == 0.0
-
-    def test_identical_curves_reproduce_to_rounding(self):
-        grid = Grid.uniform(31)
-        f = np.cos(3 * grid.points)
-        sample = FunctionalSample(grid, np.tile(f, (6, 1)))
-        assert np.allclose(sample_mean(sample).values, f, rtol=1e-15, atol=1e-16)
-        # a power-of-two count averages exactly
-        four = FunctionalSample(grid, np.tile(f, (4, 1)))
-        assert np.array_equal(sample_mean(four).values, f)
-
     def test_brownian_mean_is_small(self):
         # The mean of 1000 standard Brownian motions has variance t/1000, so
         # its sup stays below 0.15 except on a <1% event; frozen seed.
         sample = generate_bm_sample(1000, 200, seed=314)
-        assert np.max(np.abs(sample_mean(sample).values)) < 0.15
+        assert np.max(np.abs(sample.values.mean(axis=0))) < 0.15
 
 
 class TestEmpiricalCovariance:

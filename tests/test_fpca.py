@@ -1,4 +1,4 @@
-"""Eigendecomposition, scores, variance fractions, and the d heuristic."""
+"""Eigendecomposition, scores and variance fractions."""
 
 import math
 
@@ -13,7 +13,6 @@ from fdchange.fpca import (
     compute_scores,
     eigendecompose,
     sample_eigensystem,
-    suggest_d,
     variance_explained,
 )
 from fdchange.limitdist import wiener_eigenvalues
@@ -205,16 +204,3 @@ class TestVarianceExplained:
         eig = eigendecompose(CovarianceSurface(grid, np.zeros((11, 11))), 2)
         with pytest.raises(DegenerateDataError):
             variance_explained(eig)
-
-
-class TestSuggestD:
-    def test_power_law_examples(self):
-        assert suggest_d(100, mode="power-law", beta=1.0) == 5
-        assert suggest_d(200, mode="power-law", beta=1.0) == 6
-
-    def test_exponential_example(self):
-        assert suggest_d(100, mode="exponential", beta=1.0) == 2
-
-    def test_floor_of_two(self):
-        assert suggest_d(3, mode="exponential", beta=1.0) == 2
-        assert suggest_d(3, mode="power-law", beta=0.1) == 2

@@ -1,4 +1,5 @@
-"""Reference distributions: spectra, samplers, and closed-form bridge moments."""
+"""Reference distributions: spectra, samplers, closed-form bridge moments and
+the normal-limit p-value."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import kolmogorov
+from scipy.stats import norm
 
 from fdchange.curves import CovarianceSurface, Grid
 from fdchange.errors import ConfigurationError, ResolutionError
@@ -13,6 +15,7 @@ from fdchange.fpca import eigendecompose
 from fdchange.limitdist import (
     bridge_sq_kernel_eigenvalues,
     bridge_sup_moments,
+    normal_p_value,
     simulate_gamma_functional,
     simulate_tld,
     wiener_eigenvalues,
@@ -250,3 +253,23 @@ class TestBridgeSupMoments:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             bridge_sup_moments(0)
+
+
+class TestNormalPValue:
+    def test_matches_scipy_normal_tail(self):
+        z = np.linspace(-8.0, 8.0, 1601)
+        assert normal_p_value(z) == pytest.approx(norm.sf(z), rel=1e-13)
+
+    def test_scalar_gives_float_and_array_keeps_shape(self):
+        z = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        p = normal_p_value(z)
+        assert isinstance(p, np.ndarray) and p.shape == (3, 4)
+        for value in (1.5, np.float64(1.5), 0):
+            assert type(normal_p_value(value)) is float
+        assert normal_p_value(0.0) == 0.5
+        assert normal_p_value(float(z[1, 2])) == p[1, 2]
+
+    def test_in_unit_interval_and_non_increasing(self):
+        p = normal_p_value(np.linspace(-40.0, 40.0, 8001))
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        assert np.all(np.diff(p) <= 0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdchange._rng import replicate_rng
-from fdchange.changepoint import cvm2d_test
+from fdchange.changepoint import cvm2d_test, sample_cusum
 from fdchange.curves import FunctionalSample, Grid
 from fdchange.errors import ConfigurationError
 from fdchange.simulation import (
@@ -130,8 +130,6 @@ class TestRunSizePower:
             assert (row["band_lo"], row["band_hi"]) == confidence_band(row["p_hat"], 40)
         with pytest.raises(KeyError):
             report.p_hat(4, 0.05)
-        with pytest.raises(KeyError):
-            report.band(3, 0.2)
 
     def test_degenerate_alpha_rejects_always(self, law20k):
         scenario = SimScenario(n=50, grid_size=100, alpha_list=(1.0,), reps=50, seed=10)
@@ -158,7 +156,7 @@ class TestRunSizePower:
             values = np.hstack([np.zeros((40, 1)), np.cumsum(increments, axis=1)])
             sample = FunctionalSample(grid, values)
             for d in (3, 5):
-                if cvm2d_test(sample, d, law20k).p_value < 0.05:
+                if cvm2d_test(*sample_cusum(sample, d), law20k).p_value < 0.05:
                     rejections[d] += 1
         assert report.p_hat(3, 0.05) == rejections[3] / 12
         assert report.p_hat(5, 0.05) == rejections[5] / 12
