@@ -13,6 +13,8 @@ written before it draws anything. ``cpt-test`` and ``segment`` check their
 settings and read their input before that. The other commands are
 deterministic; ``cpt-test`` with a normal-limit method (``sup-bridge``,
 ``cvm-sum`` or ``sup-sum``) ignores ``--reps``, ``--seed`` and ``--workers``.
+Every JSON report starts with ``version``, ``command`` and, for a randomized
+command, ``seed``.
 """
 
 from __future__ import annotations
@@ -73,22 +75,26 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(args, rows: list[dict], payload: dict) -> None:
-    """Write either a CSV table or a JSON document to --out (default stdout).
+def _report(args, table: list[dict], seed: int | None = None, **fields) -> int:
+    """Write the command's report to --out (default stdout) and return exit 0.
 
-    The CSV columns are the keys of the first row, in order. Every report has
-    a row: an ``fpca-summary`` that retains no component stops before this, in
-    ``variance_explained``, with exit 5.
+    CSV writes ``table``, whose columns are the keys of its first row. JSON
+    writes ``version``, ``command``, ``seed`` (for a randomized command) and
+    then ``fields``. Every report has a row: an ``fpca-summary`` that retains
+    no component stops before this, in ``variance_explained``, with exit 5.
     """
     if args.output == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        envelope = {"version": __version__, "command": args.command}
+        if seed is not None:
+            envelope["seed"] = seed
+        text = json.dumps({**envelope, **_jsonable(fields)}, indent=2) + "\n"
     else:
         import io
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0])
-        for row in rows:
+        writer.writerow(table[0])
+        for row in table:
             writer.writerow([_fmt(value) for value in row.values()])
         text = buf.getvalue()
     if args.out == "-":
@@ -99,10 +105,11 @@ def _emit(args, rows: list[dict], payload: dict) -> None:
                 fh.write(text)
         except OSError as exc:
             raise ConfigurationError(f"cannot write {args.out}: {exc}") from exc
+    return 0
 
 
 def _check_out(path: str) -> None:
-    """Fail now, not after the simulation, if ``_emit`` could not write ``path``."""
+    """Fail now, not after the simulation, if ``_report`` could not write ``path``."""
     if path == "-":
         return
     folder = os.path.dirname(path) or "."
@@ -115,13 +122,6 @@ def _check_out(path: str) -> None:
     else:
         return
     raise ConfigurationError(f"cannot write {path}: {problem}")
-
-
-def _provenance(args, seed: int | None = None) -> dict:
-    out = {"version": __version__, "command": args.command}
-    if seed is not None:
-        out["seed"] = seed
-    return out
 
 
 def _start_draws(args) -> int:
@@ -138,18 +138,16 @@ def _basis_size(text: str):
     return int(text)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _list_of(kind, noun: str):
+    """An argparse type for a comma-separated list of ``kind``."""
 
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(",") if part.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return parse
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
@@ -216,10 +214,7 @@ def _cmd_critical_values(args) -> int:
         }
         for alpha in STANDARD_ALPHAS
     ]
-    payload = _provenance(args, seed)
-    payload.update({"K": args.truncation, "reps": args.reps, "rows": rows})
-    _emit(args, rows, payload)
-    return 0
+    return _report(args, rows, seed, K=args.truncation, reps=args.reps, rows=rows)
 
 
 def _cmd_cpt_test(args) -> int:
@@ -239,11 +234,7 @@ def _cmd_cpt_test(args) -> int:
         "statistic": outcome.statistic,
         "p_value": outcome.p_value,
     }
-    payload = _provenance(args, seed)
-    payload.update(row)
-    payload["diagnostics"] = _jsonable(outcome.diagnostics)
-    _emit(args, [row], payload)
-    return 0
+    return _report(args, [row], seed, **row, diagnostics=outcome.diagnostics)
 
 
 def _cmd_estimate(args) -> int:
@@ -251,10 +242,7 @@ def _cmd_estimate(args) -> int:
     _, cusum = sample_cusum(sample, args.d)
     theta = estimate_changepoint(cusum)
     row = {"d": args.d, "n": sample.n_curves, "theta_hat": theta}
-    payload = _provenance(args)
-    payload.update(row)
-    _emit(args, [row], payload)
-    return 0
+    return _report(args, [row], **row)
 
 
 def _cmd_segment(args) -> int:
@@ -265,10 +253,7 @@ def _cmd_segment(args) -> int:
     tree = binary_segmentation(
         sample, args.d_list, args.alpha, law, min_segment=args.min_segment
     )
-    payload = _provenance(args, seed)
-    payload["tree"] = tree.to_dict()
-    _emit(args, tree.rows(), payload)
-    return 0
+    return _report(args, tree.rows(), seed, tree=tree.to_dict())
 
 
 def _cmd_two_sample(args) -> int:
@@ -283,11 +268,7 @@ def _cmd_two_sample(args) -> int:
         "z_score": outcome.z_score,
         "p_value": outcome.p_value,
     }
-    payload = _provenance(args)
-    payload.update(row)
-    payload["diagnostics"] = _jsonable(outcome.diagnostics)
-    _emit(args, [row], payload)
-    return 0
+    return _report(args, [row], **row, diagnostics=outcome.diagnostics)
 
 
 def _cmd_simulate(args) -> int:
@@ -312,25 +293,10 @@ def _cmd_simulate(args) -> int:
             raise ConfigurationError(f"--law-reps must be >= {MIN_REPS}, got {args.law_reps}")
         law = simulate_tld(args.truncation, args.law_reps, seed=seed + 1, workers=args.workers)
     report = run_size_power(scenario, args.test, law=law, workers=args.workers)
-    rows = [
-        {
-            "N": r["n"],
-            "d": r["d"],
-            "alpha": r["alpha"],
-            "a": r["a"],
-            "k_star": r["k_star"],
-            "p_hat": r["p_hat"],
-            "band_lo": r["band_lo"],
-            "band_hi": r["band_hi"],
-            "R": r["reps"],
-            "seed": r["seed"],
-        }
-        for r in report.rows
-    ]
-    payload = _provenance(args, seed)
-    payload.update({"test": args.test, "m": args.m, "grid_size": args.grid_size, "rows": rows})
-    _emit(args, rows, payload)
-    return 0
+    rows = list(report.rows)
+    return _report(
+        args, rows, seed, test=args.test, m=args.m, grid_size=args.grid_size, rows=rows
+    )
 
 
 def _cmd_fpca_summary(args) -> int:
@@ -350,17 +316,9 @@ def _cmd_fpca_summary(args) -> int:
             }
         )
         previous = float(cumulative[j])
-    payload = _provenance(args)
-    payload.update(
-        {
-            "n": sample.n_curves,
-            "requested_d": args.d,
-            "retained_d": eig.d,
-            "rows": rows,
-        }
+    return _report(
+        args, rows, n=sample.n_curves, requested_d=args.d, retained_d=eig.d, rows=rows
     )
-    _emit(args, rows, payload)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", help="binary segmentation into constant-mean pieces")
     p.add_argument("input", help="CSV file of curves")
-    p.add_argument("--d-list", type=_int_list, default=(3, 4, 5, 6), metavar="D1,D2,...",
+    p.add_argument("--d-list", type=_list_of(int, "integers"), default=(3, 4, 5, 6),
+                   metavar="D1,D2,...",
                    help="projection counts tried on every segment (default 3,4,5,6)")
     p.add_argument("--alpha", type=float, default=0.05, help="test level (default 0.05)")
     p.add_argument("--min-segment", type=int, default=8,
@@ -422,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=0.0, help="shift amplitude (default 0)")
     p.add_argument("--k-star", type=int, default=None,
                    help="last pre-change index (default n//2 when a != 0)")
-    p.add_argument("--d-list", type=_int_list, default=(5,), metavar="D1,D2,...")
-    p.add_argument("--alpha", type=_float_list, default=(0.05,), metavar="A1,A2,...",
-                   help="levels evaluated (default 0.05)")
+    p.add_argument("--d-list", type=_list_of(int, "integers"), default=(5,), metavar="D1,D2,...")
+    p.add_argument("--alpha", type=_list_of(float, "numbers"), default=(0.05,),
+                   metavar="A1,A2,...", help="levels evaluated (default 0.05)")
     p.add_argument("--grid-size", type=int, default=1000,
                    help="random-walk steps per curve (default 1000)")
     p.add_argument("--law-reps", type=int, default=100_000,

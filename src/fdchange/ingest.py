@@ -17,8 +17,8 @@ day-of-year integers is recognized: day 366 is dropped and day k maps to
 (k - 1) / 364. One design matrix is built on the distinct pooled points, and
 each curve's least-squares fit uses the rows of its own points, so a curve
 gets the same bits as from a design of its own. With ``basis_size=None`` the
-values are taken as-is on the header grid, whose points must run from 0 to
-1; that round-trips ``write_sample_csv`` exactly.
+values are taken as-is on the points every curve shares, which must run from
+0 to 1; that round-trips ``write_sample_csv`` exactly.
 """
 
 from __future__ import annotations
@@ -278,33 +278,33 @@ def _raw_grid(points: np.ndarray, what: str) -> Grid:
         ) from None
 
 
+def _raw_sample(
+    path: str, labels: list[str], ts: list[np.ndarray], vs: list[np.ndarray]
+) -> FunctionalSample:
+    """The curves as given, which must share their points and miss no value."""
+    ref = ts[0]
+    for label, t in zip(labels, ts):
+        if t.shape != ref.shape or np.any(t != ref):
+            raise ParseError(f"curve {label}: raw ingestion needs identical t for every curve")
+    values = np.vstack(vs)
+    missing = np.isnan(values).any(axis=1)
+    if missing.any():
+        raise ParseError(
+            f"{path}: curve {labels[int(np.argmax(missing))]} has missing values; "
+            "raw ingestion needs a full matrix"
+        )
+    return FunctionalSample(_raw_grid(ref, f"{path}: observation points"), values)
+
+
 def ingest(path: str, config: IngestionConfig = IngestionConfig()) -> FunctionalSample:
     """Read curves from ``path`` according to ``config``."""
     if config.layout == "rows":
         t, rows = _read_rows_layout(path)
-        labels = [str(i) for i in range(len(rows))]
-        if config.basis_size is None:
-            values = np.vstack(rows)
-            if np.any(np.isnan(values)):
-                bad = int(np.where(np.isnan(values).any(axis=1))[0][0])
-                raise ParseError(
-                    f"{path}: curve {bad} has missing values; raw ingestion needs a full matrix"
-                )
-            return FunctionalSample(_raw_grid(t, f"{path}: header points"), values)
-        ts = [t.copy() for _ in rows]
-        return _smooth(labels, ts, rows, config)
-    labels, ts, vs = _read_long_layout(path)
+        labels, ts, vs = [str(i) for i in range(len(rows))], [t] * len(rows), rows
+    else:
+        labels, ts, vs = _read_long_layout(path)
     if config.basis_size is None:
-        ref = ts[0]
-        for cid, t in zip(labels, ts):
-            if t.shape != ref.shape or np.any(t != ref):
-                raise ParseError(
-                    f"curve {cid}: raw long-layout ingestion needs identical t for every curve"
-                )
-        values = np.vstack(vs)
-        if np.any(np.isnan(values)):
-            raise ParseError("missing values present; raw ingestion needs a full matrix")
-        return FunctionalSample(_raw_grid(ref, f"{path}: observation points"), values)
+        return _raw_sample(path, labels, ts, vs)
     return _smooth(labels, ts, vs, config)
 
 

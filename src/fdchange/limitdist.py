@@ -97,7 +97,6 @@ class LimitLaw:
     bridge_sq_eigs: np.ndarray
     truncation: int
     samples: np.ndarray = field(repr=False)  # sorted ascending
-    quantiles: dict[float, float]
     reps: int
     seed: int
 
@@ -117,9 +116,6 @@ class LimitLaw:
             raise ValueError("bridge-square eigenvalues must be non-increasing, >= 0")
         if self.samples.shape != (self.reps,) or np.any(np.diff(self.samples) < 0):
             raise ValueError("samples must be sorted, one per replicate")
-        cvs = [self.quantiles[a] for a in sorted(self.quantiles)]
-        if np.any(np.diff(cvs) > 0):
-            raise ValueError("critical values must decrease as alpha grows")
 
     def critical_value(self, alpha: float) -> float:
         """Type-7 (linearly interpolated) upper quantile at level ``alpha``."""
@@ -173,13 +169,11 @@ def simulate_tld(
     nu = bridge_sq_kernel_eigenvalues(truncation, nystrom_points)
     draws = run_replicates(partial(_tld_chunk, seed, lam, nu), reps, workers)
     draws.sort()
-    quantiles = {a: float(np.quantile(draws, 1.0 - a)) for a in STANDARD_ALPHAS}
     return LimitLaw(
         wiener_eigs=lam,
         bridge_sq_eigs=nu,
         truncation=truncation,
         samples=draws,
-        quantiles=quantiles,
         reps=reps,
         seed=seed,
     )

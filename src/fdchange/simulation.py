@@ -114,7 +114,12 @@ def inject_shift(
 
 @dataclass(frozen=True)
 class SimReport:
-    """Rejection fractions with 90% Monte Carlo bands, one row per (d, alpha)."""
+    """Rejection fractions with 90% Monte Carlo bands, one row per (d, alpha).
+
+    Row columns, as in the ``simulate`` report: N (curves per sample), d,
+    alpha, a, k_star, p_hat, band_lo, band_hi, R (replicates) and seed. The
+    second-sample size m is on ``scenario``.
+    """
 
     scenario: SimScenario
     test: str
@@ -185,19 +190,15 @@ def run_size_power(
     thresholded at every alpha.
     """
     if test == "two-sample":
-        stats = run_replicates(
-            partial(_twosample_chunk, scenario), scenario.reps, workers
-        )
-        p_values = normal_p_value(stats)
+        chunk = partial(_twosample_chunk, scenario)
     elif test in CHANGEPOINT_TESTS:
         if test == "cvm2d" and law is None:
             raise ConfigurationError("cvm2d needs a simulated LimitLaw")
-        stats = run_replicates(
-            partial(_changepoint_chunk, scenario, test), scenario.reps, workers
-        )
-        p_values = law.p_value(stats) if test == "cvm2d" else normal_p_value(stats)
+        chunk = partial(_changepoint_chunk, scenario, test)
     else:
         raise ConfigurationError(f"unknown test {test!r}")
+    stats = run_replicates(chunk, scenario.reps, workers)
+    p_values = law.p_value(stats) if test == "cvm2d" else normal_p_value(stats)
 
     rows = []
     for j, d in enumerate(scenario.d_list):
@@ -206,8 +207,7 @@ def run_size_power(
             lo, hi = confidence_band(p_hat, scenario.reps)
             rows.append(
                 {
-                    "n": scenario.n,
-                    "m": scenario.m,
+                    "N": scenario.n,
                     "d": d,
                     "alpha": alpha,
                     "a": scenario.a,
@@ -215,7 +215,7 @@ def run_size_power(
                     "p_hat": p_hat,
                     "band_lo": lo,
                     "band_hi": hi,
-                    "reps": scenario.reps,
+                    "R": scenario.reps,
                     "seed": scenario.seed,
                 }
             )

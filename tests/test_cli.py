@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import fdchange
 from fdchange.cli import main
 from fdchange.curves import FunctionalSample, Grid
 from fdchange.ingest import write_sample_csv
@@ -305,6 +306,43 @@ class TestFpcaSummary:
         payload = json.loads(out)
         assert payload["requested_d"] == 6 and payload["retained_d"] == 6
         assert payload["n"] == 40
+
+
+class TestReportEnvelope:
+    #: One run per report: (argv, randomized, single-row). ``{name}`` is the
+    #: CSV file ``name.csv`` of ``cli_files``.
+    CASES = {
+        "critical-values": ("critical-values --reps 200 --seed 3", True, False),
+        "cpt-test-cvm2d": ("cpt-test {shift} --basis-size raw --d 3 --reps 200 --seed 3",
+                           True, True),
+        "cpt-test-cvm-sum": ("cpt-test {shift} --basis-size raw --d 3 --method cvm-sum",
+                             False, True),
+        "estimate": ("estimate {shift} --basis-size raw --d 3", False, True),
+        "segment": ("segment {multi} --basis-size raw --d-list 3 --reps 200 --seed 3",
+                    True, False),
+        "two-sample": ("two-sample {x} {y_shift} --basis-size raw", False, True),
+        "simulate": ("simulate --test sup-sum --n 20 --grid-size 30 --reps 5 --seed 3",
+                     True, False),
+        "fpca-summary": ("fpca-summary {x} --basis-size raw --d 3", False, False),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_json_starts_with_the_envelope(self, capsys, cli_files, case):
+        line, randomized, single_row = self.CASES[case]
+        names = ("x", "shift", "y_shift", "multi")
+        argv = line.format(**{name: str(cli_files / f"{name}.csv") for name in names}).split()
+        code, out, _ = run_cli(capsys, *argv, "--output", "json")
+        assert code == 0
+        payload = json.loads(out)
+        keys = list(payload)
+        envelope = ["version", "command"] + (["seed"] if randomized else [])
+        assert keys[: len(envelope)] == envelope and "seed" not in keys[len(envelope):]
+        assert payload["version"] == fdchange.__version__ and payload["command"] == argv[0]
+        if single_row:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            header, _ = parse_csv(out)
+            assert header == [key for key in keys[len(envelope):] if key != "diagnostics"]
 
 
 class TestExitCodes:

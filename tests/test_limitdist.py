@@ -86,8 +86,6 @@ class TestSimulateTld:
     def test_quantiles_monotone_and_consistent(self, law20k):
         cvs = [law20k.critical_value(a) for a in (0.01, 0.05, 0.10)]
         assert cvs[0] > cvs[1] > cvs[2] > 0
-        for alpha, cv in law20k.quantiles.items():
-            assert cv == pytest.approx(law20k.critical_value(alpha), rel=1e-12)
 
     def test_sample_mean_matches_series_expectation(self, law20k):
         # E = (sum lam)(sum nu): each squared normal has mean one.
@@ -105,7 +103,6 @@ class TestSimulateTld:
         c = simulate_tld(truncation=7, reps=400, seed=99, nystrom_points=200, workers=2)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.samples, c.samples)
-        assert a.quantiles == c.quantiles
 
     def test_replicate_streams_match_documented_scheme(self):
         # Replicate r must draw from Generator(Philox(seed).jumped(r)),

@@ -126,7 +126,7 @@ class TestRunSizePower:
         report = run_size_power(scenario, "cvm2d", law=law20k)
         assert len(report.rows) == 4
         for row in report.rows:
-            assert row["n"] == 30 and row["reps"] == 40 and row["seed"] == 9
+            assert row["N"] == 30 and row["R"] == 40 and row["seed"] == 9
             assert (row["band_lo"], row["band_hi"]) == confidence_band(row["p_hat"], 40)
         with pytest.raises(KeyError):
             report.p_hat(4, 0.05)
