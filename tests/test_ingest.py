@@ -1,7 +1,12 @@
 """CSV ingestion: layouts, Fourier smoothing, rescaling, and export."""
 
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdchange.curves import Grid
 from fdchange.errors import ConfigurationError, ParseError
@@ -278,8 +283,9 @@ class TestConfigValidation:
 
 def per_curve_fit(curves, basis_size, grid_size):
     """Smoothing as a per-curve algorithm: each curve's own Fourier design and
-    least-squares fit, evaluated on the analysis grid. Ingestion shares one
-    design across curves and must give these values bit for bit."""
+    least-squares fit, evaluated on the analysis grid. Ingestion solves the
+    normal equations of a block of curves at once and must agree with these
+    values to LSQ_RTOL; curves it leaves to least squares match bit for bit."""
     eval_design = fourier_design(Grid.uniform(grid_size).points, basis_size)
     values = np.empty((len(curves), grid_size))
     for i, (t, v) in enumerate(curves):
@@ -288,13 +294,25 @@ def per_curve_fit(curves, basis_size, grid_size):
     return values
 
 
+#: Stated agreement of smoothing with per-curve least squares, relative to
+#: each value and to the largest reference value.
+LSQ_RTOL = 1e-12
+
+
+def assert_matches_least_squares(values, reference):
+    np.testing.assert_allclose(
+        values, reference, rtol=LSQ_RTOL, atol=LSQ_RTOL * np.max(np.abs(reference))
+    )
+
+
 def write_long_cells(path, observations):
     """Long-layout file from (curve_id, t_cell, value_cell) string triples."""
     path.write_text("curve_id,t,value\n" + "".join(f"{c},{t},{v}\n" for c, t, v in observations))
 
 
 class TestPooledDesignBitIdentity:
-    """The pooled design gathers exactly the rows of every per-curve design."""
+    """The pooled design gathers exactly the rows of every per-curve design, so
+    the fits agree with per-curve least squares to the stated tolerance."""
 
     def test_long_file_with_missing_cells(self, tmp_path):
         rng = np.random.default_rng(101)
@@ -309,7 +327,7 @@ class TestPooledDesignBitIdentity:
         path = tmp_path / "holes.csv"
         write_long_cells(path, observations)
         sample = ingest(str(path), IngestionConfig(layout="long", basis_size=9, grid_size=50))
-        assert sample.values.tobytes() == per_curve_fit(curves, 9, 50).tobytes()
+        assert_matches_least_squares(sample.values, per_curve_fit(curves, 9, 50))
 
     def test_long_file_with_irregular_times_and_a_repeated_point(self, tmp_path):
         # Times on [2.5, 7.5] (not day-like) are rescaled with the pooled
@@ -329,7 +347,7 @@ class TestPooledDesignBitIdentity:
         lo, hi = float(pooled.min()), float(pooled.max())
         curves = [((t - lo) / (hi - lo), v) for t, v in zip(raw, values)]
         sample = ingest(str(path), IngestionConfig(layout="long", basis_size=7, grid_size=60))
-        assert sample.values.tobytes() == per_curve_fit(curves, 7, 60).tobytes()
+        assert_matches_least_squares(sample.values, per_curve_fit(curves, 7, 60))
 
     def test_day_of_year_file_with_a_leap_day(self, tmp_path):
         rng = np.random.default_rng(103)
@@ -344,7 +362,7 @@ class TestPooledDesignBitIdentity:
         t = (days[:-1] - 1.0) / 364.0
         curves = [(t, row[:-1]) for row in values]
         sample = ingest(str(path), IngestionConfig(layout="long", basis_size=15, grid_size=365))
-        assert sample.values.tobytes() == per_curve_fit(curves, 15, 365).tobytes()
+        assert_matches_least_squares(sample.values, per_curve_fit(curves, 15, 365))
 
     def test_rows_file_with_missing_cells(self, tmp_path):
         rng = np.random.default_rng(104)
@@ -360,7 +378,107 @@ class TestPooledDesignBitIdentity:
         path.write_text("\n".join(lines) + "\n")
         curves = [(t[~gaps], row[~gaps]) for row, gaps in zip(values, holes)]
         sample = ingest(str(path), IngestionConfig(basis_size=11, grid_size=70))
-        assert sample.values.tobytes() == per_curve_fit(curves, 11, 70).tobytes()
+        assert_matches_least_squares(sample.values, per_curve_fit(curves, 11, 70))
+
+
+def long_cells(curves):
+    """(curve_id, t_cell, value_cell) triples of (t, v) curves, full precision."""
+    return [
+        (f"c{i}", f"{tj:.17g}", f"{vj:.17g}")
+        for i, (t, v) in enumerate(curves)
+        for tj, vj in zip(t, v)
+    ]
+
+
+class TestLeastSquaresFallback:
+    def test_rank_deficient_curves_keep_the_minimum_norm_fit(self, tmp_path, monkeypatch):
+        # Three distinct points cannot fix five coefficients: the Gram matrix
+        # is singular, the certificate rejects it, and the curve gets the
+        # minimum-norm least-squares fit bit for bit. The well-conditioned
+        # curve between them is solved in the batch, without least squares.
+        rng = np.random.default_rng(105)
+        few = np.repeat([0.1, 0.45, 0.8], 2)
+        many = np.linspace(0.0, 1.0, 40)
+        curves = [(t, rng.standard_normal(t.size)) for t in (few, many, few)]
+        path = tmp_path / "thin.csv"
+        write_long_cells(path, long_cells(curves))
+        lstsq, designs = np.linalg.lstsq, []
+
+        def recorded_lstsq(a, b, rcond=None):
+            designs.append(a.shape)
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recorded_lstsq)
+        sample = ingest(str(path), IngestionConfig(layout="long", basis_size=5, grid_size=30))
+        monkeypatch.undo()
+        assert designs == [(6, 5), (6, 5)]
+        reference = per_curve_fit(curves, 5, 30)
+        assert sample.values[[0, 2]].tobytes() == reference[[0, 2]].tobytes()
+        assert_matches_least_squares(sample.values[1], reference[1])
+
+
+@st.composite
+def smoothing_cases(draw):
+    """A basis size and curves on random points in [0, 1] (left as they are by
+    ingestion): one point in each cell of a uniform partition, spread out
+    anyhow, clustered, or repeating a few distinct points."""
+    basis_size = draw(st.sampled_from([3, 5, 7, 9]))
+    magnitude = st.floats(1e-6, 1e3)
+    cells = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda x: -x))
+    curves = []
+    for _ in range(draw(st.integers(2, 5))):
+        n = draw(st.integers(basis_size, 6 * basis_size))
+        u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        kind = draw(st.sampled_from(["partition", "anyhow", "clustered", "repeated"]))
+        if kind == "partition":
+            t = (np.arange(n) + u) / n
+        elif kind == "clustered":
+            width = draw(st.sampled_from([1e-2, 1e-6, 0.0]))
+            t = np.clip(draw(st.floats(0.0, 1.0)) + width * (u - 0.5), 0.0, 1.0)
+        elif kind == "repeated":
+            t = u[np.arange(n) % draw(st.integers(1, n))]
+        else:
+            t = u
+        curves.append((t, np.array(draw(st.lists(cells, min_size=n, max_size=n)))))
+    return basis_size, curves
+
+
+def smooth_long(curves, basis_size, grid_size=40):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "curves.csv"
+        write_long_cells(path, long_cells(curves))
+        config = IngestionConfig(layout="long", basis_size=basis_size, grid_size=grid_size)
+        return ingest(str(path), config)
+
+
+class TestSmoothingProperties:
+    """Both routes, the batched normal equations and the least-squares
+    fallback, on point sets that exercise each."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=smoothing_cases())
+    def test_agrees_with_per_curve_least_squares(self, case):
+        basis_size, curves = case
+        sample = smooth_long(curves, basis_size)
+        assert_matches_least_squares(sample.values, per_curve_fit(curves, basis_size, 40))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=smoothing_cases(), k=st.integers(-40, 40))
+    def test_power_of_two_scaling_is_exact(self, case, k):
+        basis_size, curves = case
+        base = smooth_long(curves, basis_size)
+        scaled = smooth_long([(t, np.ldexp(v, k)) for t, v in curves], basis_size)
+        assert np.array_equal(scaled.values, np.ldexp(base.values, k))
+
+    def test_scaling_near_the_float_limit_is_exact(self):
+        # At 2^1020 the sums X'v of these curves exceed the float64 range,
+        # but the smoothed curves themselves do not.
+        rng = np.random.default_rng(106)
+        t = np.linspace(0.0, 1.0, 40)
+        curves = [(t, rng.uniform(0.5, 1.5, t.size)) for _ in range(3)]
+        base = smooth_long(curves, 5)
+        scaled = smooth_long([(t, np.ldexp(v, 1020)) for t, v in curves], 5)
+        assert np.array_equal(scaled.values, np.ldexp(base.values, 1020))
 
 
 class TestParserContract:
@@ -391,7 +509,7 @@ class TestParserContract:
         sample = ingest(str(path), IngestionConfig(layout=layout, basis_size=5, grid_size=20))
         keep = np.arange(t.size) != 4
         curves = [(t[keep], rows[0][keep]), (t, rows[1])]
-        assert sample.values.tobytes() == per_curve_fit(curves, 5, 20).tobytes()
+        assert_matches_least_squares(sample.values, per_curve_fit(curves, 5, 20))
         with pytest.raises(ParseError, match="missing values present"):
             ingest(str(path), IngestionConfig(layout=layout, basis_size=5, missing="fail"))
 
