@@ -7,8 +7,17 @@ Two layouts are understood:
 * ``long``: a header ``curve_id,t,value`` followed by one observation per row,
   curves ordered by first appearance.
 
-``NA``, ``nan`` and blank cells are missing values; an infinite value or a
-number beyond the float range is a ParseError that names its line and column.
+Input is UTF-8 text, with or without a byte-order mark; other bytes, and a
+cell longer than ``csv.field_size_limit()``, are a ParseError that names the
+file. ``NA``, ``nan`` and blank cells are missing values; an infinite value or
+a number beyond the float range is a ParseError that names its line and column.
+
+The long layout is read by one ``np.loadtxt`` pass into an (n, 3) float
+table, with no Python object kept per observation, and grouped into curves
+by one stable sort. A file that pass cannot vouch for (a malformed or
+missing ``t``, an infinite value, a blank id, a wrong field count, a record
+over several lines, an over-long line) is read again one record at a time,
+which gives the same curves bit for bit or the ParseError.
 
 With smoothing enabled each curve is fit by least squares on the Fourier
 basis {1, sqrt(2) sin(2 pi k t), sqrt(2) cos(2 pi k t)} over t rescaled to
@@ -30,8 +39,10 @@ exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +58,10 @@ __all__ = [
 ]
 
 FLOAT_FORMAT = "%.17g"
+#: Input text encoding: UTF-8, with or without a byte-order mark.
+ENCODING = "utf-8-sig"
+#: Cells that mean a missing value once stripped and lower-cased.
+MISSING_CELLS = ("", "na", "nan")
 
 #: Curves per batched least-squares solve; bounds the (block, K, K) Gram stack.
 BLOCK_CURVES = 64
@@ -104,7 +119,7 @@ def _parse_float(cell: str, where: str) -> float:
     so ``where`` is formatted only for them.
     """
     value = cell.strip()
-    if not value or value.lower() in ("na", "nan"):
+    if value.lower() in MISSING_CELLS:
         return math.nan
     try:
         number = float(value)
@@ -126,18 +141,34 @@ def _parse_row(cells: list[str], where) -> np.ndarray:
     return values
 
 
-def _read_rows_layout(path: str) -> tuple[np.ndarray, list[np.ndarray]]:
-    with open(path, newline="") as fh:
+def _records(path: str):
+    """The CSV records of ``path``, read as UTF-8 with an optional BOM.
+
+    A file that is not UTF-8, or a cell over ``csv.field_size_limit()``, is a
+    ParseError that names the file.
+    """
+    with open(path, newline="", encoding=ENCODING) as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+            yield from reader
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+            ) from None
+
+
+def _read_rows_layout(path: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    with contextlib.closing(_records(path)) as records:
+        header = next(records, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
         t = _parse_row(header, lambda i: f"{path}: header column {i}")
         if t.size < 2 or np.any(np.isnan(t)):
             raise ParseError(f"{path}: header must list at least 2 numeric observation points")
         rows = []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(records, start=2):
             if not row:
                 continue
             if len(row) != t.size:
@@ -151,13 +182,13 @@ def _read_rows_layout(path: str) -> tuple[np.ndarray, list[np.ndarray]]:
     return t, rows
 
 
-def _read_long_layout(path: str) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+def _read_long_records(path: str) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:
+    """The long layout one record at a time: the reader of every file that
+    ``_read_long_table`` leaves to it, and the judge of its errors."""
+    with contextlib.closing(_records(path)) as records:
+        header = next(records, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
         if len(header) != 3:
             raise ParseError(
                 f"{path}: long layout needs exactly 3 columns (curve_id, t, value)"
@@ -168,7 +199,7 @@ def _read_long_layout(path: str) -> tuple[list[str], list[np.ndarray], list[np.n
         # Raw id cells and stripped ids both map to their curve, so each
         # distinct raw id is stripped once and " c1" joins "c1".
         curve_of: dict[str, int] = {}
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(records, start=2):
             if len(row) != 3:
                 if not row:
                     continue
@@ -200,6 +231,107 @@ def _read_long_layout(path: str) -> tuple[list[str], list[np.ndarray], list[np.n
     if not ids:
         raise ParseError(f"{path}: no curves found")
     return ids, [np.array(t) for t in ts], [np.array(v) for v in vs]
+
+
+def _value_cell(cell: str) -> float:
+    """A value cell as ``_read_long_records`` reads it: nan for a missing
+    spelling, and ValueError for a cell it would have to judge."""
+    try:
+        return float(cell)
+    except ValueError:
+        if cell.strip().lower() in MISSING_CELLS:
+            return math.nan
+        raise
+
+
+#: Line-break bytes mapped to ``\n`` and every other byte to ``x``.
+_BREAKS = bytes(10 if b in b"\r\n" else 120 for b in range(256))
+
+
+def _text_lines(path: str, limit: int) -> int | None:
+    """The number of non-blank lines of ``path``, split at ``\n``, ``\r\n``
+    and ``\r`` as Python's file iteration splits them; None when a run of
+    more than ``limit`` bytes holds no line break.
+
+    Such a run may hold a cell over csv's field limit. Every run that long
+    covers one whole aligned block of ``limit // 2 + 1`` bytes, so one
+    ``find`` per block decides it.
+    """
+    block = min(limit // 2 + 1, 1 << 20)
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(block * max(1, (1 << 20) // block)):
+            marks = last + chunk.translate(_BREAKS)
+            for start in range(1, len(marks) - block + 1, block):
+                if marks.find(b"\n", start, start + block) < 0:
+                    return None
+            lines += marks.count(b"\nx")  # line starts that are not a break
+            last = marks[-1:]
+    return lines
+
+
+def _read_long_table(path: str):
+    """The long layout through ``np.loadtxt`` into one (n, 3) float table.
+
+    Column 0 holds the index of each distinct raw id cell, ``t`` goes through
+    numpy's float parser (which strips the whitespace ``str.strip`` strips
+    and reads the rest as ``float`` does), and value cells through
+    ``_value_cell``, so ids and bits match ``_read_long_records`` and no
+    Python object per cell is kept. Returns None for a file whose verdict
+    belongs to ``_read_long_records``: one ``loadtxt`` or a converter rejects
+    (a field count other than 3, a cell such as ``1_0`` or ``NA`` in ``t``,
+    bytes that are not UTF-8), a non-finite ``t``, an infinite value, an id
+    that is blank once stripped, a header that is not one 3-field line, a
+    line longer than csv's field limit, or a record over several lines (each
+    may be short while one of its cells is over that limit). The last two
+    show as more non-blank lines than records, as a record over several
+    lines has at least two that are not blank.
+    """
+    lines = _text_lines(path, csv.field_size_limit())
+    if lines is None or lines < 2:
+        return None
+    raw_ids: defaultdict[str, int] = defaultdict()
+    raw_ids.default_factory = raw_ids.__len__  # a new raw id gets the next index
+    try:
+        with open(path, newline="", encoding=ENCODING) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            # A header over several lines shows in the count below too, but
+            # ``loadtxt`` would first warn of no data if it were all the file.
+            if header is None or len(header) != 3 or reader.line_num != 1:
+                return None
+            table = np.loadtxt(
+                fh, delimiter=",", quotechar='"', comments=None, encoding=ENCODING, ndmin=2,
+                converters={0: raw_ids.__getitem__, 2: _value_cell},
+            )
+    except (ValueError, csv.Error):
+        return None
+    if table.shape != (lines - 1, 3):  # one line for the header, one per record
+        return None
+    if not np.isfinite(table[:, 1]).all() or np.isinf(table[:, 2]).any():
+        return None
+    # Curves are stripped ids numbered by first appearance; raw ids are
+    # numbered that way too, so their order gives the curves' order.
+    curve_of: dict[str, int] = {}
+    raw_curve = np.empty(len(raw_ids), dtype=np.intp)
+    for index, raw_id in enumerate(raw_ids):
+        cid = raw_id.strip()
+        if not cid:
+            return None
+        raw_curve[index] = curve_of.setdefault(cid, len(curve_of))
+    curve = raw_curve[table[:, 0].astype(np.intp)]
+    order = np.argsort(curve, kind="stable")  # each curve keeps its row order
+    bounds = np.cumsum(np.bincount(curve, minlength=len(curve_of)))[:-1]
+    return (
+        list(curve_of),
+        np.split(table[order, 1], bounds),
+        np.split(table[order, 2], bounds),
+    )
+
+
+def _read_long_layout(path: str) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:
+    table = _read_long_table(path)
+    return _read_long_records(path) if table is None else table
 
 
 def _looks_like_day_of_year(all_t: np.ndarray) -> bool:

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in-process through ``main``."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -345,6 +346,52 @@ class TestReportEnvelope:
             assert header == [key for key in keys[len(envelope):] if key != "diagnostics"]
 
 
+def pinned_long_text():
+    """24 long-layout curves at 12 points, written point by point so that the
+    curves interleave, with CRLF line ends, NA, blank and nan cells, a quoted
+    id holding a comma, a quoted id holding a quote, and an id written both
+    with and without a leading space. Values are multiples of 1/8, exact in
+    decimal and binary; curves 14 on are shifted by 2."""
+    ids = ["c00", '"c,01"', " c02", '"c""03"']
+    lines = ["curve_id,t,value"]
+    for j in range(12):
+        for i in range(24):
+            cid = ids[i] if i < len(ids) else f"c{i:02d}"
+            if i == 2 and j % 2:
+                cid = "c02"
+            v = ((i * 37 + j * 101 + (i * j) % 17) % 23 - 11) / 8 + (2.0 if i >= 14 else 0.0)
+            cell = {(1, 3): "NA", (5, 7): "", (9, 2): " NA ", (20, 10): "nan"}.get((i, j), repr(v))
+            lines.append(f"{cid},{j / 16!r},{cell}")
+    return "".join(line + "\r\n" for line in lines)
+
+
+class TestPinnedLongLayoutReports:
+    """SHA-256 of JSON reports on ``pinned_long_text``, computed before the long
+    layout was read through ``np.loadtxt`` (numpy 2.4.6 with its bundled
+    OpenBLAS on x86-64). Reading the file another way must not move a bit."""
+
+    FLAGS = ("--layout", "long", "--basis-size", "5", "--grid-size", "16", "--output", "json")
+    DIGESTS = {
+        "fpca-summary --d 3":
+            "21aacb6db6f6bf11a4339c11e2fa95f2d5373234f78434f29343617d70a5bace",
+        "cpt-test --d 2 --method cvm-sum":
+            "f2dc6a2a68c0507d67a99905b372dc6aa0f32a2fd53728c926b276789b4a6c90",
+        "estimate --d 2":
+            "7a198ef894003af3c1fb700cf78054776face7fba3476e1395152218816b7b85",
+        "segment --d-list 2 --reps 2000 --seed 3":
+            "cff39b0156e25057a236c1b2feb318fae65bac000eae749f2396223940cacc33",
+    }
+
+    @pytest.mark.parametrize("command", list(DIGESTS))
+    def test_report_digest(self, capsys, tmp_path, command):
+        path = tmp_path / "pinned.csv"
+        path.write_bytes(pinned_long_text().encode())
+        name, *flags = command.split()
+        code, out, _ = run_cli(capsys, name, str(path), *flags, *self.FLAGS)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[command]
+
+
 class TestExitCodes:
     def test_missing_file_is_parse_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "estimate", str(tmp_path / "nope.csv"), *RAW)
@@ -581,6 +628,30 @@ class TestExitCodes:
             "error: observation points run from -2.9937604643020797e+292 to "
             "1.7976931348623155e+308; the span overflows float64"
         ]
+
+    @pytest.mark.parametrize(
+        "layout, header",
+        [("rows", "0,0.5,1\n"), ("long", "curve_id,t,value\n")],
+        ids=["rows", "long"],
+    )
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"1,0.5,\xff\n", "byte 0xff is not UTF-8"),
+            (b"1,0.5," + b"1" * (csv.field_size_limit() + 1) + b"\n",
+             "field larger than field limit"),
+        ],
+        ids=["not-utf8", "over-limit"],
+    )
+    def test_unreadable_text_is_exit_3(self, capsys, tmp_path, layout, header, data, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(header.encode() + b"0,0,1\n" + data)
+        code, out, err = run_cli(
+            capsys, "fpca-summary", str(bad), "--layout", layout, "--basis-size", "raw"
+        )
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {bad}: ") and message in err
+        assert len(err.splitlines()) == 1
 
     def test_usage_errors_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,5 +1,6 @@
 """CSV ingestion: layouts, Fourier smoothing, rescaling, and export."""
 
+import csv
 import pathlib
 import tempfile
 
@@ -10,7 +11,15 @@ from hypothesis import strategies as st
 
 from fdchange.curves import Grid
 from fdchange.errors import ConfigurationError, ParseError
-from fdchange.ingest import IngestionConfig, fourier_design, ingest, write_sample_csv
+from fdchange.ingest import (
+    IngestionConfig,
+    _read_long_layout,
+    _read_long_records,
+    _read_long_table,
+    fourier_design,
+    ingest,
+    write_sample_csv,
+)
 from fdchange.simulation import generate_bm_sample
 
 
@@ -580,3 +589,96 @@ class TestRawGridRange:
         write_long(path, [0.5], np.ones((2, 1)))
         with pytest.raises(ParseError, match="at least 2"):
             ingest(str(path), IngestionConfig(layout="long", basis_size=None))
+
+
+def read_outcome(reader, path):
+    """A reader's curves as ids and raw bytes, or its ParseError message."""
+    try:
+        ids, ts, vs = reader(str(path))
+    except ParseError as exc:
+        return str(exc)
+    return ids, [t.tobytes() for t in ts], [v.tobytes() for v in vs]
+
+
+#: csv's limit on the length of one cell.
+FIELD_LIMIT = csv.field_size_limit()
+
+
+class TestLongLayoutReaders:
+    """``_read_long_table`` reads the long layout with ``np.loadtxt`` and leaves
+    every file it cannot vouch for to ``_read_long_records``, the per-row reader."""
+
+    def test_table_reads_quoted_spaced_and_interleaved_ids(self, tmp_path):
+        path = tmp_path / "long.csv"
+        lines = [
+            "curve_id,t,value", 'c1,0.0,1.5', '"c,2",0.0,NA', " c1,0.5, na ", "",
+            '"c""3",0.0,-0.0', "c1 ,1.0,2.5", '"c,2",0.5,', "c2,1,nan", '"c""3",1e-3,-nan',
+            '" c2",0.25,1e300',
+        ]
+        path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        table = read_outcome(_read_long_table, path)
+        assert table == read_outcome(_read_long_records, path)
+        ids, ts, _ = table
+        assert ids == ["c1", "c,2", 'c"3', "c2"]
+        assert np.frombuffer(ts[0]).tolist() == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "c0,1_0,1\n",  # float reads it, numpy's parser does not
+            'c0,0,1\n"c\n1",0,1\n',  # a record over two lines
+            "c0,0,1\r\nc2,0,2\rc1,\u0661,1\n",  # a digit numpy does not read
+            "c0,0,1\nc1,NA,1\n",
+            "c0,0,1\nc1,inf,1\n",
+            "c0,0,1\nc1,0,-Infinity\n",
+            "c0,0,1\nc1,0,abc\n",
+            "c0,0,1\n ,0,1\n",
+            "c0,0,1,2\n",
+            "c0,0,1\nc1,0\n",
+            "c0,0,1\n   \n",
+            "c" * (FIELD_LIMIT + 1) + ",0,1\n",
+            "c0," + " " * FIELD_LIMIT + "0,1\n",
+            "\n\n",
+        ],
+        ids=[
+            "underscore-t", "two-line-id", "arabic-digit", "na-t", "inf-t", "inf-value",
+            "bad-value", "blank-id", "four-fields", "two-fields", "whitespace-line",
+            "long-id", "long-t", "no-rows",
+        ],
+    )
+    def test_per_row_reader_judges_what_the_table_cannot(self, tmp_path, body):
+        path = tmp_path / "odd.csv"
+        path.write_text("curve_id,t,value\n" + body, encoding="utf-8", newline="")
+        assert _read_long_table(str(path)) is None
+        assert read_outcome(_read_long_layout, path) == read_outcome(_read_long_records, path)
+
+    def test_header_over_several_lines_cannot_hide_a_record_over_several(self, tmp_path):
+        # Short lines each, but the t cell is over csv's limit; the header's
+        # blank lines inside quotes do not make up for the record's extra lines.
+        spread = FIELD_LIMIT // 2 + 1
+        header = '"curve_id' + "\n" * (spread + 2) + '",t,value\n'
+        record = 'c1,"' + "\n " * spread + '0.5",1\n'
+        path = tmp_path / "spread.csv"
+        path.write_text(header + "c0,0,1\n" + record)
+        assert _read_long_table(str(path)) is None
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            _read_long_layout(str(path))
+
+    def test_over_limit_id_is_a_parse_error_not_a_curve(self, tmp_path):
+        path = tmp_path / "long_id.csv"
+        path.write_text(f"curve_id,t,value\n{'c' * (FIELD_LIMIT + 1)},0,1\n")
+        with pytest.raises(ParseError, match=r"long_id\.csv: line 2: field larger than"):
+            ingest(str(path), IngestionConfig(layout="long", basis_size=None))
+
+
+class TestTextEncoding:
+    @pytest.mark.parametrize("layout", ["rows", "long"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, layout):
+        t = np.linspace(0.0, 1.0, 5)
+        values = np.vstack([t, 1.0 - t])
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        (write_rows if layout == "rows" else write_long)(plain, t, values)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        config = IngestionConfig(layout=layout, basis_size=None)
+        marked_values, plain_values = (ingest(str(p), config).values for p in (marked, plain))
+        assert marked_values.tobytes() == plain_values.tobytes()
