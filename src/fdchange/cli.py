@@ -9,8 +9,10 @@ The randomized commands are ``critical-values``, ``segment``, ``simulate``
 and ``cpt-test --method cvm2d``, which draw a Monte Carlo law or replicates.
 Each prints the effective seed on stderr so a rerun with ``--seed``
 reproduces its output byte for byte, and then checks that ``--out`` can be
-written before it draws anything. ``cpt-test`` and ``segment`` check their
-settings and read their input before that. The other commands are
+written before it draws anything. Each checks the law's settings (``--K``,
+and ``--law-reps`` of ``simulate``) before the seed is printed, and
+``cpt-test`` and ``segment`` also check their other settings and read their
+input before that. The other commands are
 deterministic; ``cpt-test`` with a normal-limit method (``sup-bridge``,
 ``cvm-sum`` or ``sup-sum``) ignores ``--reps``, ``--seed`` and ``--workers``.
 Every JSON report starts with ``version``, ``command`` and, for a randomized
@@ -46,7 +48,7 @@ from .errors import (
 )
 from .fpca import sample_eigensystem, variance_explained
 from .ingest import FLOAT_FORMAT, IngestionConfig, ingest
-from .limitdist import MIN_REPS, STANDARD_ALPHAS, simulate_tld
+from .limitdist import MIN_REPS, STANDARD_ALPHAS, max_truncation, simulate_tld
 from .simulation import SimScenario, run_size_power
 from .twosample import two_sample_test
 
@@ -132,6 +134,13 @@ def _start_draws(args) -> int:
     return seed
 
 
+def _check_truncation(args) -> None:
+    """Reject a --K that the simulated law's Nystrom grid cannot resolve."""
+    top = max_truncation()
+    if not 1 <= args.truncation <= top:
+        raise ConfigurationError(f"--K must be between 1 and {top}, got {args.truncation}")
+
+
 def _basis_size(text: str):
     if text.lower() in ("raw", "none"):
         return None
@@ -197,6 +206,7 @@ def _load_sample(args, path: str):
 
 
 def _cmd_critical_values(args) -> int:
+    _check_truncation(args)
     seed = _start_draws(args)
     law = simulate_tld(
         truncation=args.truncation,
@@ -218,6 +228,8 @@ def _cmd_critical_values(args) -> int:
 
 
 def _cmd_cpt_test(args) -> int:
+    if args.method == "cvm2d":
+        _check_truncation(args)
     sample = _load_sample(args, args.input)
     eig, cusum = sample_cusum(sample, args.d)
     seed = None
@@ -247,6 +259,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_segment(args) -> int:
     _segmentation_d_list(args.d_list, args.alpha, args.min_segment)
+    _check_truncation(args)
     sample = _load_sample(args, args.input)
     seed = _start_draws(args)
     law = simulate_tld(args.truncation, args.reps, seed=seed, workers=args.workers)
@@ -272,6 +285,10 @@ def _cmd_two_sample(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.test == "cvm2d":
+        _check_truncation(args)
+        if args.law_reps < MIN_REPS:
+            raise ConfigurationError(f"--law-reps must be >= {MIN_REPS}, got {args.law_reps}")
     seed = _start_draws(args)
     k_star = args.k_star
     if args.a != 0.0 and k_star is None and args.test != "two-sample":
@@ -289,8 +306,6 @@ def _cmd_simulate(args) -> int:
     )
     law = None
     if args.test == "cvm2d":
-        if args.law_reps < MIN_REPS:
-            raise ConfigurationError(f"--law-reps must be >= {MIN_REPS}, got {args.law_reps}")
         law = simulate_tld(args.truncation, args.law_reps, seed=seed + 1, workers=args.workers)
     report = run_size_power(scenario, args.test, law=law, workers=args.workers)
     rows = list(report.rows)

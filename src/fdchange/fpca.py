@@ -125,10 +125,18 @@ def _build_eigensystem(
 
 
 def _weighted_kernel(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The symmetric matrix W^{1/2} C W^{1/2} of the kernel ``values``."""
+    """Overwrite the kernel ``values`` with the symmetric W^{1/2} C W^{1/2}; return it.
+
+    The operations are those of ``(b + b.T) / 2`` with ``b = w[:, None] * C
+    * w[None, :]``, in their order, so the bits match that formula; no
+    second n x n matrix outlives the call.
+    """
     w_half = np.sqrt(weights)
-    b = w_half[:, None] * values * w_half[None, :]
-    return (b + b.T) / 2.0
+    values *= w_half[:, None]
+    values *= w_half[None, :]
+    values += values.T  # numpy buffers the overlapping transpose
+    values /= 2.0
+    return values
 
 
 def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +159,7 @@ def eigendecompose(
     """
     if d_max < 1:
         raise ConfigurationError(f"d must be >= 1, got {d_max}")
-    b = _weighted_kernel(surface.grid.weights, surface.values)
+    b = _weighted_kernel(surface.grid.weights, surface.values.copy())
     vals, vecs = _eigh(b)
     trace = float(np.trace(b))
     if vals.size and float(vals[-1]) < -1e-8 * max(trace, 0.0):

@@ -142,7 +142,9 @@ def _parse_row(cells: list[str], where) -> np.ndarray:
 
 
 def _records(path: str):
-    """The CSV records of ``path``, read as UTF-8 with an optional BOM.
+    """The CSV records of ``path`` as ``(line, row)``, read as UTF-8 with an
+    optional BOM; ``line`` is the file line the record ends on, so a quoted
+    cell over several lines does not shift the lines of the records after it.
 
     A file that is not UTF-8, or a cell over ``csv.field_size_limit()``, is a
     ParseError that names the file.
@@ -150,7 +152,8 @@ def _records(path: str):
     with open(path, newline="", encoding=ENCODING) as fh:
         reader = csv.reader(fh)
         try:
-            yield from reader
+            for row in reader:
+                yield reader.line_num, row
         except csv.Error as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -161,14 +164,14 @@ def _records(path: str):
 
 def _read_rows_layout(path: str) -> tuple[np.ndarray, list[np.ndarray]]:
     with contextlib.closing(_records(path)) as records:
-        header = next(records, None)
+        _, header = next(records, (1, None))
         if header is None:
             raise ParseError(f"{path}: empty file")
         t = _parse_row(header, lambda i: f"{path}: header column {i}")
         if t.size < 2 or np.any(np.isnan(t)):
             raise ParseError(f"{path}: header must list at least 2 numeric observation points")
         rows = []
-        for line_no, row in enumerate(records, start=2):
+        for line_no, row in records:
             if not row:
                 continue
             if len(row) != t.size:
@@ -186,7 +189,7 @@ def _read_long_records(path: str) -> tuple[list[str], list[np.ndarray], list[np.
     """The long layout one record at a time: the reader of every file that
     ``_read_long_table`` leaves to it, and the judge of its errors."""
     with contextlib.closing(_records(path)) as records:
-        header = next(records, None)
+        _, header = next(records, (1, None))
         if header is None:
             raise ParseError(f"{path}: empty file")
         if len(header) != 3:
@@ -199,7 +202,7 @@ def _read_long_records(path: str) -> tuple[list[str], list[np.ndarray], list[np.
         # Raw id cells and stripped ids both map to their curve, so each
         # distinct raw id is stripped once and " c1" joins "c1".
         curve_of: dict[str, int] = {}
-        for line_no, row in enumerate(records, start=2):
+        for line_no, row in records:
             if len(row) != 3:
                 if not row:
                     continue

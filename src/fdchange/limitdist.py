@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import run_replicates
-from ._rng import replicate_rng
+from ._rng import replicate_rngs
 from .curves import Grid
 from .errors import ConfigurationError, ResolutionError
 from .fpca import _keep_count, _weighted_kernel
@@ -34,6 +34,7 @@ from .fpca import _keep_count, _weighted_kernel
 __all__ = [
     "wiener_eigenvalues",
     "bridge_sq_kernel_eigenvalues",
+    "max_truncation",
     "LimitLaw",
     "normal_p_value",
     "simulate_tld",
@@ -46,6 +47,9 @@ STANDARD_ALPHAS = (0.01, 0.05, 0.10)
 #: Fewest Monte Carlo draws either sampler accepts.
 MIN_REPS = 100
 
+#: Grid points of the Nystrom discretization of the bridge-square kernel.
+NYSTROM_POINTS = 1000
+
 
 def wiener_eigenvalues(count: int) -> np.ndarray:
     """Eigenvalues (pi (k - 1/2))^{-2} of the covariance min(t, s); sum -> 1/2."""
@@ -55,8 +59,17 @@ def wiener_eigenvalues(count: int) -> np.ndarray:
     return 1.0 / (np.pi * (k - 0.5)) ** 2
 
 
+def max_truncation(nystrom_points: int = NYSTROM_POINTS) -> int:
+    """Largest eigenvalue count a Nystrom grid of ``nystrom_points`` resolves.
+
+    ``bridge_sq_kernel_eigenvalues`` and so every simulated law accept a
+    truncation from 1 up to this, a quarter of the grid.
+    """
+    return nystrom_points // 4
+
+
 def bridge_sq_kernel_eigenvalues(
-    count: int | None, nystrom_points: int = 1000
+    count: int | None, nystrom_points: int = NYSTROM_POINTS
 ) -> np.ndarray:
     """Leading eigenvalues of the kernel 2 (min(t,s) - ts)^2 by the Nystrom method.
 
@@ -67,23 +80,32 @@ def bridge_sq_kernel_eigenvalues(
     and on the 1000-point matrix the eigenvector solve takes about twice as
     long and raises peak memory by about 20 MB.
 
+    The kernel is built, weighted and symmetrized in one n x n buffer,
+    updated in place by the operations of the out-of-place formula in their
+    order, so its bits are those of that formula. The step needs that buffer
+    and ``eigvalsh``'s own copy of it (each 8 MB at n = 1000), and briefly
+    one n x n temporary for ``np.outer`` and the transpose.
+
     Individual eigenvalues are only resolved for ``count <= nystrom_points /
-    4``; pass ``count=None`` for the whole discretized spectrum above the
-    floor, whose sum reproduces the kernel trace 1/15 to quadrature accuracy
-    (the eigenvalues decay like 1/l^2, so no truncated prefix gets that
-    close).
+    4`` (``max_truncation``); pass ``count=None`` for the whole discretized
+    spectrum above the floor, whose sum reproduces the kernel trace 1/15 to
+    quadrature accuracy (the eigenvalues decay like 1/l^2, so no truncated
+    prefix gets that close).
     """
     if count is not None:
         if count < 1:
             raise ConfigurationError(f"count must be >= 1, got {count}")
-        if nystrom_points < 4 * count:
+        if count > max_truncation(nystrom_points):
             raise ResolutionError(
                 f"nystrom_points={nystrom_points} too coarse for {count} eigenvalues "
                 f"(need at least {4 * count})"
             )
     grid = Grid.uniform(nystrom_points)
     t = grid.points
-    kernel = 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2
+    kernel = np.minimum.outer(t, t)
+    kernel -= np.outer(t, t)
+    np.square(kernel, out=kernel)
+    kernel *= 2.0
     vals = np.linalg.eigvalsh(_weighted_kernel(grid.weights, kernel))[::-1]
     keep = _keep_count(vals, nystrom_points if count is None else count, None)
     return vals[:keep].copy()
@@ -148,8 +170,8 @@ def normal_p_value(z: float | np.ndarray) -> float | np.ndarray:
 def _tld_chunk(seed: int, lam: np.ndarray, nu: np.ndarray, start: int, stop: int) -> np.ndarray:
     out = np.empty(stop - start)
     g = np.empty((lam.size, nu.size))
-    for i, r in enumerate(range(start, stop)):
-        replicate_rng(seed, r).standard_normal(out=g)
+    for i, rng in enumerate(replicate_rngs(seed, start, stop)):
+        rng.standard_normal(out=g)
         np.multiply(g, g, out=g)
         out[i] = lam @ g @ nu
     return out
@@ -159,7 +181,7 @@ def simulate_tld(
     truncation: int = 49,
     reps: int = 100_000,
     seed: int = 0,
-    nystrom_points: int = 1000,
+    nystrom_points: int = NYSTROM_POINTS,
     workers: int = 1,
 ) -> LimitLaw:
     """Simulate the truncated double series and package it as a ``LimitLaw``."""
@@ -194,13 +216,12 @@ def _gamma_chunk(
     inc_scale = np.sqrt(dy / grid_u)
     shrink = math.sqrt(2.0) * (1.0 - x_int) ** 2
     out = np.empty(stop - start)
-    for r in range(start, stop):
-        rng = replicate_rng(seed, r)
+    for i, rng in enumerate(replicate_rngs(seed, start, stop)):
         increments = rng.standard_normal((grid_u, grid_x - 1)) * inc_scale[None, :]
         sheet = increments.cumsum(axis=0).cumsum(axis=1)
         gamma_sq = np.zeros((grid_u + 1, grid_x + 1))
         gamma_sq[1:, 1:-1] = (sheet * shrink[None, :]) ** 2
-        out[r - start] = u_weights @ gamma_sq @ x_weights
+        out[i] = u_weights @ gamma_sq @ x_weights
     return out
 
 

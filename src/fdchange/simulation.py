@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import run_replicates
-from ._rng import replicate_rng
+from ._rng import replicate_rngs
 from .changepoint import CHANGEPOINT_TESTS, _statistics, sample_cusum
 from .curves import FunctionalSample, Grid
 from .errors import ConfigurationError
@@ -144,13 +144,12 @@ def _changepoint_chunk(scenario: SimScenario, test: str, start: int, stop: int) 
     t = grid.points
     bump = scenario.a * t * (1.0 - t)
     out = np.empty((stop - start, len(scenario.d_list)))
-    for r in range(start, stop):
-        rng = replicate_rng(scenario.seed, r)
+    for i, rng in enumerate(replicate_rngs(scenario.seed, start, stop)):
         values = _bm_values(rng, scenario.n, scenario.grid_size)
         if scenario.a != 0.0 and scenario.k_star is not None:
             values[scenario.k_star :] += bump
         _, cusum = sample_cusum(FunctionalSample(grid, values), d_max)
-        out[r - start] = _statistics(cusum.values, test, scenario.d_list)
+        out[i] = _statistics(cusum.values, test, scenario.d_list)
     return out
 
 
@@ -161,8 +160,7 @@ def _twosample_chunk(scenario: SimScenario, start: int, stop: int) -> np.ndarray
     bump = scenario.a * t * (1.0 - t)
     m = scenario.m if scenario.m is not None else scenario.n
     out = np.empty((stop - start, len(scenario.d_list)))
-    for r in range(start, stop):
-        rng = replicate_rng(scenario.seed, r)
+    for i, rng in enumerate(replicate_rngs(scenario.seed, start, stop)):
         x_values = _bm_values(rng, scenario.n, scenario.grid_size)
         y_values = _bm_values(rng, m, scenario.grid_size)
         if scenario.a != 0.0:
@@ -172,7 +170,7 @@ def _twosample_chunk(scenario: SimScenario, start: int, stop: int) -> np.ndarray
         eig = pooled_eigensystem(x, y, d_max)
         _require_components(eig, d_max)
         for j, d in enumerate(scenario.d_list):
-            out[r - start, j] = _projected_statistic(x, y, eig, d)[1]
+            out[i, j] = _projected_statistic(x, y, eig, d)[1]
     return out
 
 

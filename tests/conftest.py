@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
 
 from fdchange.limitdist import simulate_tld
 
-#: Worker count for the heavier Monte Carlo fixtures and tests.
-WORKERS = min(4, os.cpu_count() or 1)
+#: Worker count for the heavier Monte Carlo fixtures and tests. One process:
+#: every forked worker keeps numpy's whole BLAS thread pool, so two workers on
+#: two cores ran four busy BLAS threads and took the suite from about 3.5 to
+#: 6.5-7 minutes. Results are the same for any worker count; the tests that
+#: check that pass ``workers=2`` themselves.
+WORKERS = 1
 
 #: Seed for every session-scoped reference distribution. Fixed so that all
 #: frozen expectations in the suite refer to one reproducible simulation.

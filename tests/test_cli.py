@@ -467,7 +467,7 @@ class TestExitCodes:
             "--reps", "5", "--law-reps", "50", "--seed", "1",
         )
         assert code == 4 and out == ""
-        assert err.splitlines()[-1] == "error: --law-reps must be >= 100, got 50"
+        assert err.splitlines() == ["error: --law-reps must be >= 100, got 50"]
 
     @pytest.mark.parametrize(
         "ingest_flags", [RAW, ("--basis-size", "9", "--grid-size", "20")], ids=["gram", "surface"]
@@ -586,6 +586,42 @@ class TestExitCodes:
         )
         assert exit_code == code and out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("k", ["0", "251"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("critical-values",),
+            ("cpt-test", "{x}", *RAW),
+            ("segment", "{x}", *RAW),
+            ("simulate", "--n", "20", "--grid-size", "50", "--reps", "5"),
+        ],
+        ids=["critical-values", "cpt-test", "segment", "simulate"],
+    )
+    def test_out_of_range_k_is_named_before_the_seed(
+        self, capsys, cli_files, monkeypatch, argv, k
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the limit law was simulated")
+
+        monkeypatch.setattr("fdchange.cli.simulate_tld", no_draws)
+        argv = [a.format(x=cli_files / "x.csv") for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--K", k, "--seed", "1")
+        assert code == 4 and out == ""
+        assert err.splitlines() == [f"error: --K must be between 1 and 250, got {k}"]
+
+    def test_normal_limit_methods_ignore_k(self, capsys, cli_files):
+        code, _, err = run_cli(
+            capsys, "cpt-test", str(cli_files / "x.csv"), *RAW, "--method", "cvm-sum",
+            "--K", "0",
+        )
+        assert code == 0 and err == ""
+
+    def test_largest_k_is_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "critical-values", "--K", "250", "--reps", "100", "--seed", "1"
+        )
+        assert code == 0 and parse_csv(out)[1][0]["K"] == "250"
 
     @pytest.mark.parametrize(
         "argv",

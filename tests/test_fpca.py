@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import shapiro
 
+from fdchange import fpca
 from fdchange.curves import CovarianceSurface, FunctionalSample, Grid, empirical_covariance
 from fdchange.errors import DegenerateDataError, DimensionError
 from fdchange.fpca import (
@@ -135,6 +136,24 @@ class TestEigendecompose:
         dense = eigendecompose(empirical_covariance(sample), 4)
         assert np.allclose(fast.eigenvalues, dense.eigenvalues, rtol=1e-10)
         assert np.allclose(fast.functions, dense.functions, atol=1e-7)
+
+    def test_in_place_weighting_keeps_the_surface_and_the_bits(self, monkeypatch):
+        # The weighted, symmetrized kernel is built in place on a copy; the
+        # out-of-place formula it replaced gives the same eigenpairs bit for bit.
+        surf = empirical_covariance(generate_bm_sample(120, 90, seed=21))
+        before = surf.values.tobytes()
+        fresh = eigendecompose(surf, 8)
+        assert surf.values.tobytes() == before
+
+        def out_of_place(weights, values):
+            w_half = np.sqrt(weights)
+            b = w_half[:, None] * values * w_half[None, :]
+            return (b + b.T) / 2.0
+
+        monkeypatch.setattr(fpca, "_weighted_kernel", out_of_place)
+        reference = eigendecompose(surf, 8)
+        for name in ("eigenvalues", "functions", "spacings"):
+            assert getattr(fresh, name).tobytes() == getattr(reference, name).tobytes()
 
 
 class TestComputeScores:

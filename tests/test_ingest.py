@@ -546,6 +546,19 @@ class TestParserContract:
         with pytest.raises(ParseError, match="line 4 has 2 fields, expected 3"):
             ingest(str(path), IngestionConfig(layout="long"))
 
+    def test_long_line_after_a_quoted_cell_over_two_lines(self, tmp_path):
+        # The record "a\nb" ends on line 3, so the bad cell sits on line 4.
+        path = tmp_path / "quoted.csv"
+        path.write_text('curve_id,t,value\n"a\nb",0,1\nc,0,abc\n')
+        with pytest.raises(ParseError, match=r"line 4, value: cannot parse 'abc'"):
+            ingest(str(path), IngestionConfig(layout="long"))
+
+    def test_rows_line_after_a_quoted_cell_over_two_lines(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('0,0.5,1\n"1\n",2,3\n4,x,6\n')
+        with pytest.raises(ParseError, match=r"line 4, column 1: cannot parse 'x'"):
+            ingest(str(path))
+
 
 class TestNonFiniteCells:
     @pytest.mark.parametrize("token", ["inf", "-Infinity", "1e999", " -inf "])

@@ -2,6 +2,7 @@
 the normal-limit p-value."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.stats import norm
 
 from fdchange.curves import CovarianceSurface, Grid
 from fdchange.errors import ConfigurationError, ResolutionError
-from fdchange.fpca import eigendecompose
+from fdchange.fpca import _keep_count, eigendecompose
 from fdchange.limitdist import (
     bridge_sq_kernel_eigenvalues,
     bridge_sup_moments,
@@ -80,6 +81,31 @@ class TestBridgeSquaredKernelEigenvalues:
     def test_full_spectrum_keeps_the_eigendecompose_floor(self):
         nu = bridge_sq_kernel_eigenvalues(None, 1000)
         assert nu.size == eigendecompose(self._kernel_surface(1000), 1000).d
+
+    @pytest.mark.parametrize("count, points", [(49, 1000), (None, 1000), (5, 200)])
+    def test_one_buffer_build_matches_the_out_of_place_formula(self, count, points):
+        grid = Grid.uniform(points)
+        t = grid.points
+        kernel = 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2
+        w_half = np.sqrt(grid.weights)
+        b = w_half[:, None] * kernel * w_half[None, :]
+        vals = np.linalg.eigvalsh((b + b.T) / 2.0)[::-1]
+        keep = _keep_count(vals, points if count is None else count, None)
+        got = bridge_sq_kernel_eigenvalues(count, points)
+        assert got.tobytes() == vals[:keep].tobytes()
+
+    def test_one_buffer_build_traced_peak(self):
+        # One n x n buffer plus one transient n x n temporary; the
+        # out-of-place formula held three at once (about 23 MiB at n = 1000).
+        n = 1000
+        bridge_sq_kernel_eigenvalues(49, n)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            bridge_sq_kernel_eigenvalues(49, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * n * n * 8
 
 
 class TestSimulateTld:
