@@ -2,10 +2,11 @@
 
 Two layouts are accepted.  "rows" is a dense matrix - a header of
 observation points followed by one curve per line.  "long" is tidy
-records (curve_id, t, value), convenient for daily series; when every t
-is an integer day-of-year the points are registered onto [0, 1] with day
-k at (k-1)/364.  Discretely observed curves are smoothed onto an odd
-Fourier basis before analysis; basis_size=None ingests raw values.
+records (curve_id, t, value), convenient for daily series.  Points
+inside [0, 1] are used as given; others are mapped onto [0, 1] by their
+pooled range, so days 1..365 land on (k-1)/364.  Discretely observed
+curves are smoothed onto an odd Fourier basis before analysis;
+basis_size=None ingests raw values.
 """
 
 import csv
@@ -54,7 +55,7 @@ with open(long_path, "w", newline="") as fh:
 
 daily = ingest(long_path, IngestionConfig(layout="long", basis_size=49))
 print(f"\nlong layout: {daily.values.shape[0]} yearly curves, grid of {daily.grid.points.size}")
-print(f"  day-of-year registration puts day 1 at t = {daily.grid.points[0]:.4f}")
+print("  days 1..365 mapped by their range onto [0, 1]: day k at t = (k-1)/364")
 
 # ----------------------------------------------------------------------
 # Raw ingestion (no smoothing) and a lossless round-trip.

@@ -9,12 +9,13 @@ The randomized commands are ``critical-values``, ``segment``, ``simulate``
 and ``cpt-test --method cvm2d``, which draw a Monte Carlo law or replicates.
 Each prints the effective seed on stderr so a rerun with ``--seed``
 reproduces its output byte for byte, and then checks that ``--out`` can be
-written before it draws anything. Each checks the law's settings (``--K``,
-and ``--law-reps`` of ``simulate``) before the seed is printed, and
-``cpt-test`` and ``segment`` also check their other settings and read their
-input before that. The other commands are
-deterministic; ``cpt-test`` with a normal-limit method (``sup-bridge``,
-``cvm-sum`` or ``sup-sum``) ignores ``--reps``, ``--seed`` and ``--workers``.
+written before it draws anything. Each checks ``--workers`` and the law's
+settings (``--K``, and ``--reps``, or ``--law-reps`` of ``simulate``) before
+the seed is printed; ``simulate`` also checks its scenario, and ``cpt-test``
+and ``segment`` check their other settings and read their input, before
+that. The other commands are deterministic; ``cpt-test`` with a normal-limit
+method (``sup-bridge``, ``cvm-sum`` or ``sup-sum``) ignores ``--reps``,
+``--seed`` and ``--workers``.
 Every JSON report starts with ``version``, ``command`` and, for a randomized
 command, ``seed``.
 """
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import io
 import json
 import os
 import sys
@@ -91,8 +94,6 @@ def _report(args, table: list[dict], seed: int | None = None, **fields) -> int:
             envelope["seed"] = seed
         text = json.dumps({**envelope, **_jsonable(fields)}, indent=2) + "\n"
     else:
-        import io
-
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(table[0])
@@ -127,18 +128,24 @@ def _check_out(path: str) -> None:
 
 
 def _start_draws(args) -> int:
-    """Resolve and announce the seed of a randomized command, then check --out."""
+    """Check --workers, resolve and announce the seed of a randomized command,
+    then check --out."""
+    if args.workers < 1:
+        raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
     seed = resolve_seed(args.seed)
     print(f"seed: {seed}", file=sys.stderr)
     _check_out(args.out)
     return seed
 
 
-def _check_truncation(args) -> None:
-    """Reject a --K that the simulated law's Nystrom grid cannot resolve."""
+def _check_law(args, reps: int, flag: str) -> None:
+    """Reject, by flag name, a --K that the simulated law's Nystrom grid cannot
+    resolve and a replicate count ``reps`` (given as ``flag``) below MIN_REPS."""
     top = max_truncation()
     if not 1 <= args.truncation <= top:
         raise ConfigurationError(f"--K must be between 1 and {top}, got {args.truncation}")
+    if reps < MIN_REPS:
+        raise ConfigurationError(f"{flag} must be >= {MIN_REPS}, got {reps}")
 
 
 def _basis_size(text: str):
@@ -206,7 +213,7 @@ def _load_sample(args, path: str):
 
 
 def _cmd_critical_values(args) -> int:
-    _check_truncation(args)
+    _check_law(args, args.reps, "--reps")
     seed = _start_draws(args)
     law = simulate_tld(
         truncation=args.truncation,
@@ -229,7 +236,7 @@ def _cmd_critical_values(args) -> int:
 
 def _cmd_cpt_test(args) -> int:
     if args.method == "cvm2d":
-        _check_truncation(args)
+        _check_law(args, args.reps, "--reps")
     sample = _load_sample(args, args.input)
     eig, cusum = sample_cusum(sample, args.d)
     seed = None
@@ -259,7 +266,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_segment(args) -> int:
     _segmentation_d_list(args.d_list, args.alpha, args.min_segment)
-    _check_truncation(args)
+    _check_law(args, args.reps, "--reps")
     sample = _load_sample(args, args.input)
     seed = _start_draws(args)
     law = simulate_tld(args.truncation, args.reps, seed=seed, workers=args.workers)
@@ -286,13 +293,11 @@ def _cmd_two_sample(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.test == "cvm2d":
-        _check_truncation(args)
-        if args.law_reps < MIN_REPS:
-            raise ConfigurationError(f"--law-reps must be >= {MIN_REPS}, got {args.law_reps}")
-    seed = _start_draws(args)
+        _check_law(args, args.law_reps, "--law-reps")
     k_star = args.k_star
     if args.a != 0.0 and k_star is None and args.test != "two-sample":
         k_star = args.n // 2
+    # The scenario is checked here, before the seed line; the seed is set after.
     scenario = SimScenario(
         n=args.n,
         m=args.m,
@@ -302,8 +307,9 @@ def _cmd_simulate(args) -> int:
         d_list=args.d_list,
         alpha_list=args.alpha,
         reps=args.reps,
-        seed=seed,
     )
+    seed = _start_draws(args)
+    scenario = dataclasses.replace(scenario, seed=seed)
     law = None
     if args.test == "cvm2d":
         law = simulate_tld(args.truncation, args.law_reps, seed=seed + 1, workers=args.workers)

@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import CovarianceSurface, FunctionalSample, Grid, _finite_covariance
+from .curves import (
+    CovarianceSurface,
+    FunctionalSample,
+    Grid,
+    _finite_covariance,
+    empirical_covariance,
+    require_same_grid,
+)
 from .errors import ConfigurationError, DegenerateDataError, DimensionError
 
 __all__ = [
@@ -204,8 +211,6 @@ def sample_eigensystem(sample: FunctionalSample, d_max: int) -> EigenSystem:
         raise ConfigurationError(f"d must be >= 1, got {d_max}")
     n, t = sample.values.shape
     if n > t:
-        from .curves import empirical_covariance
-
         return eigendecompose(empirical_covariance(sample), d_max)
     centered = sample.values - sample.values.mean(axis=0)
     rows = centered * np.sqrt(sample.grid.weights)[None, :]
@@ -263,8 +268,6 @@ def _require_components(eig: EigenSystem, d: int) -> None:
 def compute_scores(sample: FunctionalSample, eig: EigenSystem, d: int) -> ScoreMatrix:
     """Scores eta[i, j] = <X_i - mean, v_j> for the first ``d`` components."""
     _require_components(eig, d)
-    from .curves import require_same_grid
-
     require_same_grid(sample.grid, eig.grid, "compute_scores")
     centered = sample.values - sample.values.mean(axis=0)
     projector = (sample.grid.weights[None, :] * eig.functions[:d]).T  # (T, d)

@@ -20,17 +20,18 @@ over several lines, an over-long line) is read again one record at a time,
 which gives the same curves bit for bit or the ParseError.
 
 With smoothing enabled each curve is fit by least squares on the Fourier
-basis {1, sqrt(2) sin(2 pi k t), sqrt(2) cos(2 pi k t)} over t rescaled to
-[0, 1] and re-evaluated on a uniform analysis grid. A t column consisting of
-day-of-year integers is recognized: day 366 is dropped and day k maps to
-(k - 1) / 364. One design matrix is built on the distinct pooled points, and
-each curve's fit uses the rows of its own points. The fits of a block of
-curves are one batched solve of their normal equations, taken for a curve
-only when a Gershgorin certificate bounds the condition number of its Gram
-matrix; it agrees with per-curve least squares to about 1e-12 relative.
-Curves the certificate rejects (rank-deficient or clustered points) get the
-minimum-norm least-squares fit of their own design, bit for bit. Scaling the
-values by a power of two scales the smoothed curves exactly.
+basis {1, sqrt(2) sin(2 pi k t), sqrt(2) cos(2 pi k t)} over t in [0, 1] and
+re-evaluated on a uniform analysis grid. Observation points inside [0, 1] are
+used as given; otherwise they are all mapped onto [0, 1] by their pooled
+range, so days 1..365 land on (k - 1) / 364 and no point is dropped. One
+design matrix is built on the distinct pooled points, and each curve's fit
+uses the rows of its own points. The fits of a block of curves are one
+batched solve of their normal equations, taken for a curve only when a
+Gershgorin certificate bounds the condition number of its Gram matrix; it
+agrees with per-curve least squares to about 1e-12 relative. Curves the
+certificate rejects (rank-deficient or clustered points) get the minimum-norm
+least-squares fit of their own design, bit for bit. Scaling the values by a
+power of two scales the smoothed curves exactly.
 
 With ``basis_size=None`` the values are taken as-is on the points every curve
 shares, which must run from 0 to 1; that round-trips ``write_sample_csv``
@@ -110,19 +111,28 @@ def fourier_design(t: np.ndarray, basis_size: int) -> np.ndarray:
     return design
 
 
+def _value_cell(cell: str) -> float:
+    """A cell as a number: nan for a missing spelling (``MISSING_CELLS``, case
+    and surrounding whitespace ignored), and ValueError for any other cell
+    that ``float`` rejects."""
+    try:
+        return float(cell)
+    except ValueError:
+        if cell.strip().lower() in MISSING_CELLS:
+            return math.nan
+        raise
+
+
 def _parse_float(cell: str, where: str) -> float:
     """Slow path of the cell parser, for cells that ``float`` rejects or reads
-    as non-finite: ``NA``, blank and ``nan`` cells are missing (nan), and any
-    other cell that is not a finite number is a ParseError at ``where``.
+    as non-finite: ``_value_cell``, with a ParseError at ``where`` for a cell
+    that is neither a number nor missing, or that is infinite.
 
     The readers call ``float(cell)`` first and come here only for those cells,
     so ``where`` is formatted only for them.
     """
-    value = cell.strip()
-    if value.lower() in MISSING_CELLS:
-        return math.nan
     try:
-        number = float(value)
+        number = _value_cell(cell)
     except ValueError:
         raise ParseError(f"{where}: cannot parse {cell!r} as a number") from None
     if math.isinf(number):
@@ -236,17 +246,6 @@ def _read_long_records(path: str) -> tuple[list[str], list[np.ndarray], list[np.
     return ids, [np.array(t) for t in ts], [np.array(v) for v in vs]
 
 
-def _value_cell(cell: str) -> float:
-    """A value cell as ``_read_long_records`` reads it: nan for a missing
-    spelling, and ValueError for a cell it would have to judge."""
-    try:
-        return float(cell)
-    except ValueError:
-        if cell.strip().lower() in MISSING_CELLS:
-            return math.nan
-        raise
-
-
 #: Line-break bytes mapped to ``\n`` and every other byte to ``x``.
 _BREAKS = bytes(10 if b in b"\r\n" else 120 for b in range(256))
 
@@ -337,35 +336,22 @@ def _read_long_layout(path: str) -> tuple[list[str], list[np.ndarray], list[np.n
     return _read_long_records(path) if table is None else table
 
 
-def _looks_like_day_of_year(all_t: np.ndarray) -> bool:
-    return bool(
-        np.all(all_t == np.round(all_t)) and all_t.min() >= 1.0 and all_t.max() <= 366.0
-        and all_t.max() > 1.0
-    )
-
-
-def _rescale_times(ts: list[np.ndarray], masks_values: list[np.ndarray]):
-    """Map observation times to [0, 1]; drop day-366 entries when day-of-year."""
+def _rescale_times(ts: list[np.ndarray]) -> list[np.ndarray]:
+    """Observation points inside [0, 1] as given; otherwise mapped onto [0, 1]
+    by their pooled range."""
     pooled = np.concatenate(ts)
     if not pooled.size:  # no curve kept a point; the caller rejects them
-        return list(ts), list(masks_values)
-    if _looks_like_day_of_year(pooled):
-        out_t, out_v = [], []
-        for t, v in zip(ts, masks_values):
-            keep = t < 366.0
-            out_t.append((t[keep] - 1.0) / 364.0)
-            out_v.append(v[keep])
-        return out_t, out_v
+        return ts
     lo, hi = float(pooled.min()), float(pooled.max())
-    if lo < 0.0 or hi > 1.0:
-        if hi == lo:
-            raise ParseError("observation points are all identical; cannot rescale")
-        if not math.isfinite(hi - lo):
-            raise ParseError(
-                f"observation points run from {lo!r} to {hi!r}; the span overflows float64"
-            )
-        return [(t - lo) / (hi - lo) for t in ts], list(masks_values)
-    return list(ts), list(masks_values)
+    if 0.0 <= lo and hi <= 1.0:
+        return ts
+    if hi == lo:
+        raise ParseError("observation points are all identical; cannot rescale")
+    if not math.isfinite(hi - lo):
+        raise ParseError(
+            f"observation points run from {lo!r} to {hi!r}; the span overflows float64"
+        )
+    return [(t - lo) / (hi - lo) for t in ts]
 
 
 def _normal_equation_fit(
@@ -419,7 +405,7 @@ def _smooth(
             t, v = t[~missing], v[~missing]
         cleaned_t.append(t)
         cleaned_v.append(v)
-    cleaned_t, cleaned_v = _rescale_times(cleaned_t, cleaned_v)
+    cleaned_t = _rescale_times(cleaned_t)
     for i, t in enumerate(cleaned_t):
         if t.size < config.basis_size:
             raise ParseError(

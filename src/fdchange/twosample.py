@@ -16,6 +16,8 @@ import numpy as np
 from .curves import (
     CovarianceSurface,
     FunctionalSample,
+    _finite_covariance,
+    empirical_covariance,
     require_same_grid,
 )
 from .errors import ConfigurationError
@@ -48,8 +50,6 @@ class TwoSampleOutcome:
 def pooled_covariance(x: FunctionalSample, y: FunctionalSample) -> CovarianceSurface:
     """c_N + (N/M) c*_M on the shared grid."""
     require_same_grid(x.grid, y.grid, "pooled_covariance")
-    from .curves import _finite_covariance, empirical_covariance
-
     cx = empirical_covariance(x).values
     cy = empirical_covariance(y).values
     ratio = x.n_curves / y.n_curves

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -610,6 +612,34 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert err.splitlines() == [f"error: --K must be between 1 and 250, got {k}"]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("critical-values", "--reps", "50"), "--reps must be >= 100, got 50"),
+            (("critical-values", "--workers", "0"), "--workers must be >= 1, got 0"),
+            (("cpt-test", "{x}", *RAW, "--reps", "50"), "--reps must be >= 100, got 50"),
+            (("cpt-test", "{x}", *RAW, "--workers", "0"), "--workers must be >= 1, got 0"),
+            (("segment", "{x}", *RAW, "--reps", "50"), "--reps must be >= 100, got 50"),
+            (("segment", "{x}", *RAW, "--workers", "-2"), "--workers must be >= 1, got -2"),
+            (("simulate", "--n", "20", "--reps", "0"), "reps must be >= 1, got 0"),
+            (("simulate", "--n", "20", "--reps", "5", "--workers", "0"),
+             "--workers must be >= 1, got 0"),
+        ],
+        ids=["cv-reps", "cv-workers", "cpt-reps", "cpt-workers", "segment-reps",
+             "segment-workers", "simulate-reps", "simulate-workers"],
+    )
+    def test_bad_draw_settings_are_named_before_the_seed(
+        self, capsys, cli_files, monkeypatch, argv, message
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the limit law was simulated")
+
+        monkeypatch.setattr("fdchange.cli.simulate_tld", no_draws)
+        argv = [a.format(x=cli_files / "x.csv") for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--seed", "1")
+        assert code == 4 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_normal_limit_methods_ignore_k(self, capsys, cli_files):
         code, _, err = run_cli(
             capsys, "cpt-test", str(cli_files / "x.csv"), *RAW, "--method", "cvm-sum",
@@ -711,6 +741,15 @@ class TestExitCodes:
         assert "fdchange" in capsys.readouterr().out
 
 
+def src_env():
+    """This environment with the package's ``src`` directory first on
+    PYTHONPATH, as pytest's ``pythonpath`` setting puts it first on sys.path,
+    so a subprocess imports this tree without an install."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestConsoleScript:
     def test_entry_point_installed(self):
         exe = shutil.which("fdchange")
@@ -726,6 +765,7 @@ class TestConsoleScript:
             [sys.executable, "-c",
              "import sys, fdchange.cli; sys.exit('scipy.stats' in sys.modules)"],
             capture_output=True,
+            env=src_env(),
             text=True,
             timeout=60,
         )
@@ -751,6 +791,7 @@ class TestConsoleScript:
         proc = subprocess.run(
             [sys.executable, "-c", script, str(cli_files / "x.csv")],
             capture_output=True,
+            env=src_env(),
             text=True,
             timeout=120,
         )
@@ -760,6 +801,7 @@ class TestConsoleScript:
         proc = subprocess.run(
             [sys.executable, "-m", "fdchange.cli", "--version"],
             capture_output=True,
+            env=src_env(),
             text=True,
             timeout=60,
         )

@@ -34,12 +34,11 @@ def write_rows(path, t, values):
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_long(path, t, values, poison_rows=()):
+def write_long(path, t, values):
     lines = ["curve_id,t,value"]
     for i, row in enumerate(np.atleast_2d(values)):
         for tj, vj in zip(t, row):
             lines.append(f"c{i},{tj:.17g},{vj:.17g}")
-    lines.extend(poison_rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -113,22 +112,41 @@ class TestSmoothingReconstruction:
 
 
 class TestRescaling:
-    def test_day_of_year_mapping_and_leap_day_drop(self, tmp_path):
-        # Observations indexed by day 1..365 live on (day-1)/364; a day-366
-        # record carrying a poison value must be discarded before fitting.
+    def test_leap_day_kept_on_the_pooled_range(self, tmp_path):
+        # Days 1..366 are mapped by their pooled range: day k lands on
+        # (k-1)/365 for both curves, and c0's day-366 record is kept.
         coefs = np.array([0.5, -1.0, 2.0, 0.25, -0.75])
-        days = np.arange(1, 366)
-        values = in_span_curve((days - 1) / 364.0, coefs)
+        days = np.arange(1, 367)
+        values = in_span_curve((days - 1) / 365.0, coefs)
+        observations = [("c0", str(d), f"{v:.17g}") for d, v in zip(days, values)]
+        observations += [("c1", str(d), f"{-2.0 * v:.17g}") for d, v in zip(days[:-1], values)]
         path = tmp_path / "days.csv"
-        write_long(path, days, np.vstack([values, -2.0 * values]), poison_rows=["c0,366,1e6"])
+        write_long_cells(path, observations)
         sample = ingest(str(path), IngestionConfig(layout="long", basis_size=5, grid_size=100))
         truth = in_span_curve(sample.grid.points, coefs)
         assert np.max(np.abs(sample.values[0] - truth)) < 1e-8
         assert np.max(np.abs(sample.values[1] + 2.0 * truth)) < 1e-8
 
+    @pytest.mark.parametrize("layout", ["rows", "long"])
+    def test_days_equal_their_unit_interval_points_bitwise(self, tmp_path, layout):
+        # Days 1..365 map to (k-1)/364 exactly: the file equals, as a sample,
+        # the same file with those points written out in [0, 1].
+        rng = np.random.default_rng(105)
+        days = np.arange(1, 366)
+        values = rng.standard_normal((4, days.size))
+        values[rng.random(values.shape) < 0.05] = np.nan
+        write = write_rows if layout == "rows" else write_long
+        day_path, unit_path = tmp_path / "days.csv", tmp_path / "unit.csv"
+        write(day_path, days, values)
+        write(unit_path, (days - 1.0) / 364.0, values)
+        config = IngestionConfig(layout=layout, basis_size=15, grid_size=100)
+        a, b = ingest(str(day_path), config), ingest(str(unit_path), config)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.grid.points, b.grid.points)
+
     def test_generic_interval_rescaled_to_unit(self, tmp_path):
         coefs = np.array([1.0, 0.5, -0.5])
-        raw_t = np.linspace(5.0, 25.0, 50)  # non-integer span, not day-like
+        raw_t = np.linspace(5.0, 25.0, 50)
         values = in_span_curve((raw_t - 5.0) / 20.0, coefs)
         path = tmp_path / "interval.csv"
         write_long(path, raw_t, np.vstack([values, values + 1.0]))
@@ -363,15 +381,28 @@ class TestPooledDesignBitIdentity:
         days = np.arange(1, 367)
         values = rng.standard_normal((3, days.size))
         observations = []
+        curves = []
+        t = (days - 1.0) / 365.0
         for i, row in enumerate(values):
-            kept = days if i == 1 else days[:-1]  # only c1 has a day-366 record
-            observations += [(f"c{i}", str(d), f"{v:.17g}") for d, v in zip(kept, row)]
+            kept = days.size if i == 1 else days.size - 1  # only c1 has a day-366 record
+            observations += [(f"c{i}", str(d), f"{v:.17g}") for d, v in zip(days[:kept], row)]
+            curves.append((t[:kept], row[:kept]))
         path = tmp_path / "days.csv"
         write_long_cells(path, observations)
-        t = (days[:-1] - 1.0) / 364.0
-        curves = [(t, row[:-1]) for row in values]
         sample = ingest(str(path), IngestionConfig(layout="long", basis_size=15, grid_size=365))
         assert_matches_least_squares(sample.values, per_curve_fit(curves, 15, 365))
+
+    def test_rows_header_of_integers(self, tmp_path):
+        # A header 1..100 is mapped by its range onto (t-1)/99, not read as
+        # days of a year.
+        rng = np.random.default_rng(106)
+        t = np.arange(1, 101)
+        values = rng.standard_normal((3, t.size))
+        path = tmp_path / "rows.csv"
+        write_rows(path, t, values)
+        curves = [((t - 1.0) / 99.0, row) for row in values]
+        sample = ingest(str(path), IngestionConfig(basis_size=9, grid_size=50))
+        assert_matches_least_squares(sample.values, per_curve_fit(curves, 9, 50))
 
     def test_rows_file_with_missing_cells(self, tmp_path):
         rng = np.random.default_rng(104)
