@@ -246,14 +246,19 @@ def _read_long_records(path: str) -> tuple[list[str], list[np.ndarray], list[np.
     return ids, [np.array(t) for t in ts], [np.array(v) for v in vs]
 
 
-#: Line-break bytes mapped to ``\n`` and every other byte to ``x``.
-_BREAKS = bytes(10 if b in b"\r\n" else 120 for b in range(256))
+#: Line-break bytes mapped to ``\n``, the separators 0x1c-0x1f to ``s``, and
+#: every other byte to ``x``. numpy's float parser strips those separators as
+#: whitespace (``str.isspace`` holds for them) where ``float`` rejects them.
+_BREAKS = bytes(
+    10 if b in b"\r\n" else 115 if 0x1C <= b <= 0x1F else 120 for b in range(256)
+)
 
 
 def _text_lines(path: str, limit: int) -> int | None:
     """The number of non-blank lines of ``path``, split at ``\n``, ``\r\n``
-    and ``\r`` as Python's file iteration splits them; None when a run of
-    more than ``limit`` bytes holds no line break.
+    and ``\r`` as Python's file iteration splits them; None when the file
+    holds a byte 0x1c-0x1f, or when a run of more than ``limit`` bytes holds
+    no line break.
 
     Such a run may hold a cell over csv's field limit. Every run that long
     covers one whole aligned block of ``limit // 2 + 1`` bytes, so one
@@ -264,6 +269,8 @@ def _text_lines(path: str, limit: int) -> int | None:
     with open(path, "rb") as fh:
         while chunk := fh.read(block * max(1, (1 << 20) // block)):
             marks = last + chunk.translate(_BREAKS)
+            if b"s" in marks:
+                return None
             for start in range(1, len(marks) - block + 1, block):
                 if marks.find(b"\n", start, start + block) < 0:
                     return None
@@ -282,12 +289,14 @@ def _read_long_table(path: str):
     Python object per cell is kept. Returns None for a file whose verdict
     belongs to ``_read_long_records``: one ``loadtxt`` or a converter rejects
     (a field count other than 3, a cell such as ``1_0`` or ``NA`` in ``t``,
-    bytes that are not UTF-8), a non-finite ``t``, an infinite value, an id
-    that is blank once stripped, a header that is not one 3-field line, a
-    line longer than csv's field limit, or a record over several lines (each
-    may be short while one of its cells is over that limit). The last two
-    show as more non-blank lines than records, as a record over several
-    lines has at least two that are not blank.
+    bytes that are not UTF-8), a byte 0x1c-0x1f (numpy's parser would strip
+    it from ``t`` as whitespace, where ``float`` rejects it), a non-finite
+    ``t``, an infinite value, an id that is blank once stripped, a header
+    that is not one 3-field line, a line longer than csv's field limit, or a
+    record over several lines (each may be short while one of its cells is
+    over that limit). The last two show as more non-blank lines than
+    records, as a record over several lines has at least two that are not
+    blank.
     """
     lines = _text_lines(path, csv.field_size_limit())
     if lines is None or lines < 2:
@@ -336,7 +345,7 @@ def _read_long_layout(path: str) -> tuple[list[str], list[np.ndarray], list[np.n
     return _read_long_records(path) if table is None else table
 
 
-def _rescale_times(ts: list[np.ndarray]) -> list[np.ndarray]:
+def _rescale_times(path: str, ts: list[np.ndarray]) -> list[np.ndarray]:
     """Observation points inside [0, 1] as given; otherwise mapped onto [0, 1]
     by their pooled range."""
     pooled = np.concatenate(ts)
@@ -346,10 +355,10 @@ def _rescale_times(ts: list[np.ndarray]) -> list[np.ndarray]:
     if 0.0 <= lo and hi <= 1.0:
         return ts
     if hi == lo:
-        raise ParseError("observation points are all identical; cannot rescale")
+        raise ParseError(f"{path}: observation points are all identical; cannot rescale")
     if not math.isfinite(hi - lo):
         raise ParseError(
-            f"observation points run from {lo!r} to {hi!r}; the span overflows float64"
+            f"{path}: observation points run from {lo!r} to {hi!r}; the span overflows float64"
         )
     return [(t - lo) / (hi - lo) for t in ts]
 
@@ -390,6 +399,7 @@ def _normal_equation_fit(
 
 
 def _smooth(
+    path: str,
     labels: list[str],
     ts: list[np.ndarray],
     vs: list[np.ndarray],
@@ -401,15 +411,15 @@ def _smooth(
         missing = np.isnan(v)
         if missing.any():
             if config.missing == "fail":
-                raise ParseError(f"curve {labels[i]}: missing values present")
+                raise ParseError(f"{path}: curve {labels[i]}: missing values present")
             t, v = t[~missing], v[~missing]
         cleaned_t.append(t)
         cleaned_v.append(v)
-    cleaned_t = _rescale_times(cleaned_t)
+    cleaned_t = _rescale_times(path, cleaned_t)
     for i, t in enumerate(cleaned_t):
         if t.size < config.basis_size:
             raise ParseError(
-                f"curve {labels[i]}: only {t.size} usable observations for "
+                f"{path}: curve {labels[i]}: only {t.size} usable observations for "
                 f"basis_size {config.basis_size}"
             )
     grid = Grid.uniform(config.grid_size)
@@ -433,7 +443,8 @@ def _smooth(
     overflowed = ~np.isfinite(values).all(axis=1)
     if overflowed.any():
         raise ParseError(
-            f"curve {labels[int(np.argmax(overflowed))]}: values too large to smooth in float64"
+            f"{path}: curve {labels[int(np.argmax(overflowed))]}: values too large to smooth "
+            "in float64"
         )
     return FunctionalSample(grid, values)
 
@@ -461,7 +472,9 @@ def _raw_sample(
     ref = ts[0]
     for label, t in zip(labels, ts):
         if t.shape != ref.shape or np.any(t != ref):
-            raise ParseError(f"curve {label}: raw ingestion needs identical t for every curve")
+            raise ParseError(
+                f"{path}: curve {label}: raw ingestion needs identical t for every curve"
+            )
     values = np.vstack(vs)
     missing = np.isnan(values).any(axis=1)
     if missing.any():
@@ -481,7 +494,7 @@ def ingest(path: str, config: IngestionConfig = IngestionConfig()) -> Functional
         labels, ts, vs = _read_long_layout(path)
     if config.basis_size is None:
         return _raw_sample(path, labels, ts, vs)
-    return _smooth(labels, ts, vs, config)
+    return _smooth(path, labels, ts, vs, config)
 
 
 def write_sample_csv(sample: FunctionalSample, path: str) -> None:

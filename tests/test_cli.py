@@ -394,6 +394,27 @@ class TestPinnedLongLayoutReports:
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[command]
 
 
+class TestPinnedCriticalValues:
+    """SHA-256 of ``critical-values`` JSON reports, computed while the default
+    law still solved for its bridge-square eigenvalues on every call (numpy
+    2.4.6 with its bundled OpenBLAS on x86-64). Serving them from the stored
+    table must not move a bit; K = 250 reads every entry of it."""
+
+    DIGESTS = {
+        "49": "f5cb5783c1fa6fed8318d229c7ff97b4c2f6b4d7e70e9fe724963c2f8fe277b3",
+        "250": "e3aca6ff9b133ae2a95568d103f88356a5a01a91311236d90e4881e4de9d234e",
+    }
+
+    @pytest.mark.parametrize("truncation", list(DIGESTS))
+    def test_report_digest(self, capsys, truncation):
+        code, out, _ = run_cli(
+            capsys, "critical-values", "--K", truncation, "--reps", "2000", "--seed", "3",
+            "--output", "json",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[truncation]
+
+
 class TestExitCodes:
     def test_missing_file_is_parse_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "estimate", str(tmp_path / "nope.csv"), *RAW)
@@ -691,9 +712,18 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "fpca-summary", str(wide), "--basis-size", "3")
         assert code == 3 and out == ""
         assert err.splitlines() == [
-            "error: observation points run from -2.9937604643020797e+292 to "
+            f"error: {wide}: observation points run from -2.9937604643020797e+292 to "
             "1.7976931348623155e+308; the span overflows float64"
         ]
+
+    def test_missing_value_names_the_second_file(self, capsys, cli_files, tmp_path):
+        na = tmp_path / "na.csv"
+        na.write_text("0,0.25,0.5,0.75,1\n1,2,3,4,5\n1,2,NA,4,5\n")
+        code, out, err = run_cli(
+            capsys, "two-sample", str(cli_files / "x.csv"), str(na), "--missing", "fail"
+        )
+        assert code == 3 and out == ""
+        assert err.splitlines() == [f"error: {na}: curve 1: missing values present"]
 
     @pytest.mark.parametrize(
         "layout, header",

@@ -188,6 +188,7 @@ def long_outcome(reader, path):
 @FUZZ
 @given(text=long_texts())
 @example(text='"curve\nid",t,value\n')  # a header over two lines and nothing else
+@example(text="curve_id,t,value\nc1,\x1c0.5,0.0")  # numpy strips 0x1c, float does not
 def test_table_reader_agrees_with_per_row_reader(text):
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "long.csv")

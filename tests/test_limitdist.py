@@ -12,10 +12,14 @@ from scipy.stats import norm
 
 from fdchange.curves import CovarianceSurface, Grid
 from fdchange.errors import ConfigurationError, ResolutionError
-from fdchange.fpca import _keep_count, eigendecompose
+from fdchange.fpca import _keep_count, default_eigenvalue_floor, eigendecompose
 from fdchange.limitdist import (
+    _NYSTROM_TABLE,
+    MIN_REPS,
+    NYSTROM_POINTS,
     bridge_sq_kernel_eigenvalues,
     bridge_sup_moments,
+    max_truncation,
     normal_p_value,
     simulate_gamma_functional,
     simulate_tld,
@@ -43,6 +47,16 @@ class TestWienerEigenvalues:
         vals = wiener_eigenvalues(20)
         assert np.all(np.diff(vals) < 0)
         assert vals[-1] > 0
+
+
+def out_of_place_spectrum(points):
+    """Descending eigenvalues of the weighted kernel, built out of place."""
+    grid = Grid.uniform(points)
+    t = grid.points
+    kernel = 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2
+    w_half = np.sqrt(grid.weights)
+    b = w_half[:, None] * kernel * w_half[None, :]
+    return np.linalg.eigvalsh((b + b.T) / 2.0)[::-1]
 
 
 class TestBridgeSquaredKernelEigenvalues:
@@ -84,12 +98,7 @@ class TestBridgeSquaredKernelEigenvalues:
 
     @pytest.mark.parametrize("count, points", [(49, 1000), (None, 1000), (5, 200)])
     def test_one_buffer_build_matches_the_out_of_place_formula(self, count, points):
-        grid = Grid.uniform(points)
-        t = grid.points
-        kernel = 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2
-        w_half = np.sqrt(grid.weights)
-        b = w_half[:, None] * kernel * w_half[None, :]
-        vals = np.linalg.eigvalsh((b + b.T) / 2.0)[::-1]
+        vals = out_of_place_spectrum(points)
         keep = _keep_count(vals, points if count is None else count, None)
         got = bridge_sq_kernel_eigenvalues(count, points)
         assert got.tobytes() == vals[:keep].tobytes()
@@ -97,15 +106,49 @@ class TestBridgeSquaredKernelEigenvalues:
     def test_one_buffer_build_traced_peak(self):
         # One n x n buffer plus one transient n x n temporary; the
         # out-of-place formula held three at once (about 23 MiB at n = 1000).
+        # count=None, because a count on the default grid reads the table.
         n = 1000
-        bridge_sq_kernel_eigenvalues(49, n)  # first-call allocations stay out
+        bridge_sq_kernel_eigenvalues(None, n)  # first-call allocations stay out
         tracemalloc.start()
         try:
-            bridge_sq_kernel_eigenvalues(49, n)
+            bridge_sq_kernel_eigenvalues(None, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2.2 * n * n * 8
+
+
+class TestNystromTable:
+    """The default grid's eigenvalues come from ``_NYSTROM_TABLE``, not a solve."""
+
+    def test_every_entry_matches_the_out_of_place_formula(self):
+        vals = out_of_place_spectrum(NYSTROM_POINTS)
+        table = np.array(_NYSTROM_TABLE)
+        np.testing.assert_allclose(table, vals[: table.size], rtol=1e-12, atol=0.0)
+
+    def test_every_count_keeps_every_entry(self):
+        table = np.array(_NYSTROM_TABLE)
+        assert table.size == max_truncation()
+        assert np.all(np.diff(table) < 0)
+        assert np.all(table > default_eigenvalue_floor(float(table[0])))
+        for count in (1, 49, 250):
+            assert _keep_count(table, count, None) == count
+            assert bridge_sq_kernel_eigenvalues(count).tobytes() == table[:count].tobytes()
+
+    def test_checks_come_before_the_table(self):
+        with pytest.raises(ConfigurationError):
+            bridge_sq_kernel_eigenvalues(0)
+        with pytest.raises(ResolutionError):
+            bridge_sq_kernel_eigenvalues(max_truncation() + 1)
+
+    def test_returns_a_fresh_writable_array(self):
+        law = simulate_tld(49, reps=MIN_REPS, seed=0)
+        assert not law.bridge_sq_eigs.flags.writeable
+        nu = bridge_sq_kernel_eigenvalues(49)
+        assert nu.flags.writeable and nu.flags.owndata
+        assert not np.shares_memory(nu, law.bridge_sq_eigs)
+        nu[:] = -1.0
+        assert np.array_equal(bridge_sq_kernel_eigenvalues(49), law.bridge_sq_eigs)
 
 
 class TestSimulateTld:
@@ -159,6 +202,18 @@ class TestSimulateTld:
     def test_rejects_tiny_reps(self):
         with pytest.raises(ConfigurationError):
             simulate_tld(truncation=5, reps=10, seed=0)
+
+    def test_default_law_traced_peak(self):
+        # The default grid's eigenvalues come from the table, so no n x n
+        # kernel (8 MB at n = 1000) is built.
+        simulate_tld(49, reps=200)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            simulate_tld(49, reps=200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestGammaRepresentation:
