@@ -15,7 +15,10 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from fdchange import (
+    CovarianceSurface,
+    Grid,
     bridge_sq_kernel_eigenvalues,
+    eigendecompose,
     simulate_gamma_functional,
     simulate_tld,
     wiener_eigenvalues,
@@ -28,10 +31,17 @@ lam = wiener_eigenvalues(5)
 print("leading eigenvalues of min(s,t):      ", np.round(lam, 5))
 print("  (closed form (pi*(k - 1/2))**-2; the full series sums to 1/2)")
 
-nu = bridge_sq_kernel_eigenvalues(5, nystrom_points=400)
+# The law uses the stored eigenvalues of the 1000-point Nystrom grid.
+nu = bridge_sq_kernel_eigenvalues(5)
 print("leading eigenvalues of 2*(min-st)^2:  ", np.round(nu, 5))
-trace = bridge_sq_kernel_eigenvalues(None, nystrom_points=400).sum()
-print(f"  (full discretized spectrum sums to {trace:.6f}; exact trace 1/15 = {1 / 15:.6f})")
+
+# Any other grid, or the whole spectrum, is an eigendecomposition of the
+# kernel surface.
+grid = Grid.uniform(400)
+t = grid.points
+kernel = CovarianceSurface(grid, 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2)
+trace = eigendecompose(kernel, grid.size).eigenvalues.sum()
+print(f"  (full spectrum on 400 points sums to {trace:.6f}; exact trace 1/15 = {1 / 15:.6f})")
 
 # ----------------------------------------------------------------------
 # Simulate the law and read off upper quantiles.  truncation=49 keeps the
@@ -50,7 +60,7 @@ print(f"\na statistic of {stat} would get p = {law.p_value(stat):.4f}")
 # spectra, so for a sharp comparison we raise the truncation; the sheet
 # route discretizes an integral, so we give it a fine lattice.
 
-series = simulate_tld(120, reps=8_000, seed=2, nystrom_points=480, workers=2)
+series = simulate_tld(120, reps=8_000, seed=2, workers=2)
 sheet = simulate_gamma_functional(grid_u=150, grid_x=150, reps=8_000, seed=2, workers=2)
 ks = ks_2samp(series.samples, sheet).statistic
 print("\nsame law, two samplers (8000 replicates each):")

@@ -171,11 +171,24 @@ def sample_cusum(sample: FunctionalSample, d: int) -> tuple[EigenSystem, CusumMa
     return eig, cusum_matrix(compute_scores(sample, eig, d))
 
 
+def _require_cvm2d_d(d_values, name: str = "d") -> None:
+    """Reject any d below 2 for cvm2d, calling it ``name`` in the error.
+
+    The statistic integrates over strict prefixes of the components, so at
+    d = 1 it is 0 by construction and the test could never reject.
+    """
+    low = min(d_values)
+    if low < 2:
+        raise ConfigurationError(f"cvm2d needs {name} >= 2, got {low}")
+
+
 def cvm2d_test(eig: EigenSystem, cusum: CusumMatrix, law: LimitLaw) -> TestOutcome:
     """Cramer-von Mises type test: integrated squared Z against the limit law.
 
-    ``eig`` and ``cusum`` are the pair ``sample_cusum`` returns.
+    ``eig`` and ``cusum`` are the pair ``sample_cusum`` returns; ``cusum``
+    needs d >= 2.
     """
+    _require_cvm2d_d([cusum.d])
     stat = float(_statistics(cusum.values, "cvm2d", [cusum.d])[0])
     return TestOutcome(
         method="cvm2d",

@@ -13,7 +13,9 @@ written before it draws anything. Each checks ``--workers`` and the law's
 settings (``--K``, and ``--reps``, or ``--law-reps`` of ``simulate``) before
 the seed is printed; ``simulate`` also checks its scenario, and ``cpt-test``
 and ``segment`` check their other settings and read their input, before
-that. The other commands are deterministic; ``cpt-test`` with a normal-limit
+that. cvm2d needs d >= 2 (at d = 1 its statistic is 0), so ``cpt-test --d
+1`` and a 1 in the ``--d-list`` of ``simulate`` stop there too, with exit 4.
+The other commands are deterministic; ``cpt-test`` with a normal-limit
 method (``sup-bridge``, ``cvm-sum`` or ``sup-sum``) ignores ``--reps``,
 ``--seed`` and ``--workers``.
 Every JSON report starts with ``version``, ``command`` and, for a randomized
@@ -36,6 +38,7 @@ from . import __version__
 from ._rng import resolve_seed
 from .changepoint import (
     CHANGEPOINT_TESTS,
+    _require_cvm2d_d,
     _segmentation_d_list,
     binary_segmentation,
     corollary_tests,
@@ -51,7 +54,7 @@ from .errors import (
 )
 from .fpca import sample_eigensystem, variance_explained
 from .ingest import FLOAT_FORMAT, IngestionConfig, ingest
-from .limitdist import MIN_REPS, STANDARD_ALPHAS, max_truncation, simulate_tld
+from .limitdist import MAX_TRUNCATION, MIN_REPS, STANDARD_ALPHAS, simulate_tld
 from .simulation import SimScenario, run_size_power
 from .twosample import two_sample_test
 
@@ -141,9 +144,10 @@ def _start_draws(args) -> int:
 def _check_law(args, reps: int, flag: str) -> None:
     """Reject, by flag name, a --K that the simulated law's Nystrom grid cannot
     resolve and a replicate count ``reps`` (given as ``flag``) below MIN_REPS."""
-    top = max_truncation()
-    if not 1 <= args.truncation <= top:
-        raise ConfigurationError(f"--K must be between 1 and {top}, got {args.truncation}")
+    if not 1 <= args.truncation <= MAX_TRUNCATION:
+        raise ConfigurationError(
+            f"--K must be between 1 and {MAX_TRUNCATION}, got {args.truncation}"
+        )
     if reps < MIN_REPS:
         raise ConfigurationError(f"{flag} must be >= {MIN_REPS}, got {reps}")
 
@@ -241,6 +245,7 @@ def _cmd_cpt_test(args) -> int:
     eig, cusum = sample_cusum(sample, args.d)
     seed = None
     if args.method == "cvm2d":
+        _require_cvm2d_d([args.d], "--d")
         seed = _start_draws(args)
         law = simulate_tld(args.truncation, args.reps, seed=seed, workers=args.workers)
         outcome = cvm2d_test(eig, cusum, law)
@@ -308,6 +313,8 @@ def _cmd_simulate(args) -> int:
         alpha_list=args.alpha,
         reps=args.reps,
     )
+    if args.test == "cvm2d":
+        _require_cvm2d_d(scenario.d_list, "every --d-list entry")
     seed = _start_draws(args)
     scenario = dataclasses.replace(scenario, seed=seed)
     law = None

@@ -110,11 +110,10 @@ def _fix_signs(functions: np.ndarray) -> np.ndarray:
     return functions * signs[:, None]
 
 
-def _keep_count(eigenvalues: np.ndarray, d_max: int, floor: float | None) -> int:
-    """How many leading eigenvalues survive the floor, capped at ``d_max``."""
+def _keep_count(eigenvalues: np.ndarray, d_max: int) -> int:
+    """How many leading eigenvalues survive the default floor, capped at ``d_max``."""
     largest = float(eigenvalues[0]) if eigenvalues.size else 0.0
-    lo = default_eigenvalue_floor(largest) if floor is None else floor
-    return min(d_max, int(np.sum(eigenvalues > lo)))
+    return min(d_max, int(np.sum(eigenvalues > default_eigenvalue_floor(largest))))
 
 
 def _build_eigensystem(
@@ -155,14 +154,11 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1], vecs[:, ::-1]
 
 
-def eigendecompose(
-    surface: CovarianceSurface, d_max: int, *, floor: float | None = None
-) -> EigenSystem:
+def eigendecompose(surface: CovarianceSurface, d_max: int) -> EigenSystem:
     """Leading eigenpairs of the integral operator with kernel ``surface``.
 
-    Pass ``floor=0.0`` to keep every strictly positive eigenvalue (used by
-    trace-reconstruction checks); the default floor is relative to the top
-    eigenvalue.
+    Keeps at most ``d_max`` eigenvalues above ``default_eigenvalue_floor``
+    of the top one.
     """
     if d_max < 1:
         raise ConfigurationError(f"d must be >= 1, got {d_max}")
@@ -175,7 +171,7 @@ def eigendecompose(
             f"eigenvalue {vals[-1]:.3e} below -1e-8 * trace"
         )
     functions = (vecs / np.sqrt(surface.grid.weights)[:, None]).T  # rows are eigenfunctions
-    keep = _keep_count(vals, d_max, floor)
+    keep = _keep_count(vals, d_max)
     return _build_eigensystem(surface.grid, vals, functions, keep, d_max)
 
 
@@ -192,7 +188,7 @@ def _gram_eigensystem(grid: Grid, rows: np.ndarray, divisor: float, d_max: int) 
         gram = rows @ rows.T / divisor
         gram = (gram + gram.T) / 2.0
     vals, vecs = _eigh(_finite_covariance(gram))
-    keep = _keep_count(vals, d_max, None)
+    keep = _keep_count(vals, d_max)
     lifted = (rows.T @ vecs[:, :keep]) / np.sqrt(divisor * vals[:keep])[None, :]
     functions = (lifted / np.sqrt(grid.weights)[:, None]).T
     gram_f = functions @ (grid.weights[:, None] * functions.T)

@@ -11,12 +11,13 @@ bridge). This module simulates that law two independent ways:
 * ``simulate_gamma_functional`` - the Gaussian field itself, built from a
   Wiener sheet via a time rescaling, integrated by quadrature.
 
-The ``nu_l`` of the default 1000-point Nystrom grid never change, so they are
-not recomputed: ``_NYSTROM_TABLE`` at the end of the module holds the 250
-leading ones as the eigenvalue-only build produced them, and
-``bridge_sq_kernel_eigenvalues`` serves that grid from it. Other grids, and
-the whole spectrum, still run the build, which is also the oracle that
-``test_limitdist.TestNystromTable`` checks the table against.
+The ``nu_l`` are those of the kernel's Nystrom discretization on a fixed
+1000-point grid, which never change, so they are stored, not recomputed:
+``_NYSTROM_TABLE`` at the end of the module holds the 250 leading ones, and
+``bridge_sq_kernel_eigenvalues`` serves every law from it. Any other grid,
+or the whole discretized spectrum, is ``fpca.eigendecompose`` of the kernel
+surface; ``test_limitdist.TestNystromTable`` checks the table against an
+independent eigenvalue-only solve.
 
 It also gives the mean and sd of the maximum of a squared Brownian bridge on
 a grid, in closed form, for the ``sup-bridge`` normal-limit test, and the
@@ -34,14 +35,12 @@ import numpy as np
 
 from ._parallel import run_replicates
 from ._rng import replicate_rngs
-from .curves import Grid
 from .errors import ConfigurationError, ResolutionError
-from .fpca import _keep_count, _weighted_kernel
 
 __all__ = [
     "wiener_eigenvalues",
     "bridge_sq_kernel_eigenvalues",
-    "max_truncation",
+    "MAX_TRUNCATION",
     "LimitLaw",
     "normal_p_value",
     "simulate_tld",
@@ -57,6 +56,10 @@ MIN_REPS = 100
 #: Grid points of the Nystrom discretization of the bridge-square kernel.
 NYSTROM_POINTS = 1000
 
+#: Largest truncation of the simulated law: the eigenvalues a Nystrom grid
+#: resolves individually, a quarter of it, all stored in ``_NYSTROM_TABLE``.
+MAX_TRUNCATION = NYSTROM_POINTS // 4
+
 
 def wiener_eigenvalues(count: int) -> np.ndarray:
     """Eigenvalues (pi (k - 1/2))^{-2} of the covariance min(t, s); sum -> 1/2."""
@@ -66,66 +69,25 @@ def wiener_eigenvalues(count: int) -> np.ndarray:
     return 1.0 / (np.pi * (k - 0.5)) ** 2
 
 
-def max_truncation(nystrom_points: int = NYSTROM_POINTS) -> int:
-    """Largest eigenvalue count a Nystrom grid of ``nystrom_points`` resolves.
+def bridge_sq_kernel_eigenvalues(count: int) -> np.ndarray:
+    """Leading ``count`` eigenvalues of the kernel 2 (min(t,s) - ts)^2, largest first.
 
-    ``bridge_sq_kernel_eigenvalues`` and so every simulated law accept a
-    truncation from 1 up to this, a quarter of the grid.
+    They are the Nystrom eigenvalues of the kernel on the ``NYSTROM_POINTS``
+    uniform trapezoid grid, with the symmetric weighting of
+    ``fpca.eigendecompose``, returned as a fresh array of the first
+    ``count`` entries of ``_NYSTROM_TABLE``. ``count`` runs from 1 to
+    ``MAX_TRUNCATION``. For another grid, or the whole discretized spectrum
+    (whose sum reproduces the kernel trace 1/15 to quadrature accuracy),
+    decompose the kernel surface with ``fpca.eigendecompose``.
     """
-    return nystrom_points // 4
-
-
-def bridge_sq_kernel_eigenvalues(
-    count: int | None, nystrom_points: int = NYSTROM_POINTS
-) -> np.ndarray:
-    """Leading eigenvalues of the kernel 2 (min(t,s) - ts)^2 by the Nystrom method.
-
-    Discretizes the kernel with the symmetric weighted scheme of
-    ``fpca.eigendecompose`` on a uniform trapezoid grid and keeps the
-    eigenvalues above the same relative floor, largest first. Only eigenvalues
-    are computed (``numpy.linalg.eigvalsh``): no eigenfunctions are needed,
-    and on the 1000-point matrix the eigenvector solve takes about twice as
-    long and raises peak memory by about 20 MB.
-
-    The kernel is built, weighted and symmetrized in one n x n buffer,
-    updated in place by the operations of the out-of-place formula in their
-    order, so its bits are those of that formula. The step needs that buffer
-    and ``eigvalsh``'s own copy of it (each 8 MB at n = 1000), and briefly
-    one n x n temporary for ``np.outer`` and the transpose.
-
-    Individual eigenvalues are only resolved for ``count <= nystrom_points /
-    4`` (``max_truncation``); pass ``count=None`` for the whole discretized
-    spectrum above the floor, whose sum reproduces the kernel trace 1/15 to
-    quadrature accuracy (the eigenvalues decay like 1/l^2, so no truncated
-    prefix gets that close).
-
-    On the default grid (``nystrom_points == NYSTROM_POINTS``) a given
-    ``count`` is served without building anything: the result is a fresh
-    array of the first ``count`` entries of ``_NYSTROM_TABLE``, the 250
-    leading eigenvalues this build gives there, stored bit for bit.
-    ``test_limitdist.TestNystromTable`` rebuilds them by the out-of-place
-    formula and checks every entry. Other grids and ``count=None`` run the
-    build.
-    """
-    if count is not None:
-        if count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {count}")
-        if count > max_truncation(nystrom_points):
-            raise ResolutionError(
-                f"nystrom_points={nystrom_points} too coarse for {count} eigenvalues "
-                f"(need at least {4 * count})"
-            )
-        if nystrom_points == NYSTROM_POINTS:
-            return np.array(_NYSTROM_TABLE[:count])
-    grid = Grid.uniform(nystrom_points)
-    t = grid.points
-    kernel = np.minimum.outer(t, t)
-    kernel -= np.outer(t, t)
-    np.square(kernel, out=kernel)
-    kernel *= 2.0
-    vals = np.linalg.eigvalsh(_weighted_kernel(grid.weights, kernel))[::-1]
-    keep = _keep_count(vals, nystrom_points if count is None else count, None)
-    return vals[:keep].copy()
+    if count < 1:
+        raise ConfigurationError(f"count must be >= 1, got {count}")
+    if count > MAX_TRUNCATION:
+        raise ResolutionError(
+            f"the {NYSTROM_POINTS}-point Nystrom grid resolves at most "
+            f"{MAX_TRUNCATION} eigenvalues, got count={count}"
+        )
+    return np.array(_NYSTROM_TABLE[:count])
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,14 +160,13 @@ def simulate_tld(
     truncation: int = 49,
     reps: int = 100_000,
     seed: int = 0,
-    nystrom_points: int = NYSTROM_POINTS,
     workers: int = 1,
 ) -> LimitLaw:
     """Simulate the truncated double series and package it as a ``LimitLaw``."""
     if reps < MIN_REPS:
         raise ConfigurationError(f"reps must be >= {MIN_REPS}, got {reps}")
     lam = wiener_eigenvalues(truncation)
-    nu = bridge_sq_kernel_eigenvalues(truncation, nystrom_points)
+    nu = bridge_sq_kernel_eigenvalues(truncation)
     draws = run_replicates(partial(_tld_chunk, seed, lam, nu), reps, workers)
     draws.sort()
     return LimitLaw(
@@ -291,11 +252,12 @@ def bridge_sup_moments(n: int) -> tuple[float, float]:
     return mean, math.sqrt(fourth - mean * mean)
 
 
-#: The ``max_truncation()`` = 250 leading eigenvalues of the bridge-square
-#: kernel on the ``NYSTROM_POINTS`` grid, largest first, as the live build of
-#: ``bridge_sq_kernel_eigenvalues(250, 1000)`` gave them (numpy 2.4.6 with its
-#: bundled OpenBLAS, x86-64). Each is written with ``repr``, so the floats
-#: round-trip bit for bit. All lie above the eigenvalue floor of the first.
+#: The ``MAX_TRUNCATION`` = 250 leading eigenvalues of the bridge-square
+#: kernel on the ``NYSTROM_POINTS`` grid, largest first, as an eigenvalue-only
+#: solve (``numpy.linalg.eigvalsh``) of the weighted kernel gave them (numpy
+#: 2.4.6 with its bundled OpenBLAS, x86-64). Each is written with ``repr``, so
+#: the floats round-trip bit for bit. All lie above the eigenvalue floor of
+#: the first.
 _NYSTROM_TABLE = (
     0.032870352495497954, 0.011531638945494669, 0.0057408304229328525,
     0.003410325391154308, 0.0022523076532603757, 0.0015960182341471687,

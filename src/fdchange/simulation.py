@@ -22,7 +22,7 @@ import numpy as np
 
 from ._parallel import run_replicates
 from ._rng import replicate_rngs
-from .changepoint import CHANGEPOINT_TESTS, _statistics, sample_cusum
+from .changepoint import CHANGEPOINT_TESTS, _require_cvm2d_d, _statistics, sample_cusum
 from .curves import FunctionalSample, Grid
 from .errors import ConfigurationError
 from .fpca import _require_components
@@ -182,7 +182,8 @@ def run_size_power(
 ) -> SimReport:
     """Estimate rejection probabilities for every (d, alpha) of the scenario.
 
-    ``law`` is required for the cvm2d test (simulate it once and reuse it);
+    ``law`` is required for the cvm2d test (simulate it once and reuse it),
+    and so is d >= 2 throughout ``d_list``;
     the normal-limit tests, ``sup-bridge`` included, need nothing drawn
     beyond the replicates. Statistics are computed once per replicate and
     thresholded at every alpha.
@@ -190,8 +191,10 @@ def run_size_power(
     if test == "two-sample":
         chunk = partial(_twosample_chunk, scenario)
     elif test in CHANGEPOINT_TESTS:
-        if test == "cvm2d" and law is None:
-            raise ConfigurationError("cvm2d needs a simulated LimitLaw")
+        if test == "cvm2d":
+            if law is None:
+                raise ConfigurationError("cvm2d needs a simulated LimitLaw")
+            _require_cvm2d_d(scenario.d_list)
         chunk = partial(_changepoint_chunk, scenario, test)
     else:
         raise ConfigurationError(f"unknown test {test!r}")

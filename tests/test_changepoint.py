@@ -151,6 +151,16 @@ class TestIntegratedSquareStatistic:
         assert outcome.p_value < 0.001
         assert outcome.method == "cvm2d"
 
+    def test_rejects_a_single_component(self, law20k):
+        # At d = 1 the statistic is 0 by construction, so cvm2d could never
+        # reject; the normal-limit companions stay valid there.
+        sample = inject_shift(generate_bm_sample(60, 120, seed=16), 5.0, 30)
+        eig, cusum = sample_cusum(sample, 1)
+        with pytest.raises(ConfigurationError, match=r"cvm2d needs d >= 2, got 1"):
+            cvm2d_test(eig, cusum, law20k)
+        for variant in ("sup-bridge", "cvm-sum", "sup-sum"):
+            assert corollary_tests(cusum, variant).d == 1
+
     def test_outcome_carries_diagnostics(self, law20k):
         sample = generate_bm_sample(40, 120, seed=14)
         outcome = cvm2d_test(*sample_cusum(sample, 3), law20k)

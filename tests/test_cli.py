@@ -645,9 +645,13 @@ class TestExitCodes:
             (("simulate", "--n", "20", "--reps", "0"), "reps must be >= 1, got 0"),
             (("simulate", "--n", "20", "--reps", "5", "--workers", "0"),
              "--workers must be >= 1, got 0"),
+            (("cpt-test", "{x}", *RAW, "--d", "1"), "cvm2d needs --d >= 2, got 1"),
+            (("simulate", "--n", "20", "--reps", "5", "--d-list", "1,3"),
+             "cvm2d needs every --d-list entry >= 2, got 1"),
         ],
         ids=["cv-reps", "cv-workers", "cpt-reps", "cpt-workers", "segment-reps",
-             "segment-workers", "simulate-reps", "simulate-workers"],
+             "segment-workers", "simulate-reps", "simulate-workers", "cpt-d1",
+             "simulate-d1"],
     )
     def test_bad_draw_settings_are_named_before_the_seed(
         self, capsys, cli_files, monkeypatch, argv, message

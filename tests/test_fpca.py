@@ -125,7 +125,7 @@ class TestEigendecompose:
     def test_full_decomposition_reproduces_trace(self):
         sample = generate_bm_sample(30, 40, seed=8)
         surf = empirical_covariance(sample)
-        eig = eigendecompose(surf, surf.grid.size, floor=0.0)
+        eig = eigendecompose(surf, surf.grid.size)
         assert float(eig.eigenvalues.sum()) == pytest.approx(surf.trace(), rel=1e-8)
 
     def test_gram_fast_path_matches_surface_route(self):

@@ -146,8 +146,8 @@ class TestTwoSampleInvariance:
 
 class TestDeterminism:
     def test_limit_law_replays_bitwise(self):
-        a = simulate_tld(truncation=5, reps=200, seed=42, nystrom_points=200)
-        b = simulate_tld(truncation=5, reps=200, seed=42, nystrom_points=200)
+        a = simulate_tld(truncation=5, reps=200, seed=42)
+        b = simulate_tld(truncation=5, reps=200, seed=42)
         assert np.array_equal(a.samples, b.samples)
 
     def test_full_pipeline_is_deterministic(self, shifted_sample):

@@ -15,11 +15,11 @@ from fdchange.errors import ConfigurationError, ResolutionError
 from fdchange.fpca import _keep_count, default_eigenvalue_floor, eigendecompose
 from fdchange.limitdist import (
     _NYSTROM_TABLE,
+    MAX_TRUNCATION,
     MIN_REPS,
     NYSTROM_POINTS,
     bridge_sq_kernel_eigenvalues,
     bridge_sup_moments,
-    max_truncation,
     normal_p_value,
     simulate_gamma_functional,
     simulate_tld,
@@ -59,67 +59,47 @@ def out_of_place_spectrum(points):
     return np.linalg.eigvalsh((b + b.T) / 2.0)[::-1]
 
 
+def kernel_surface(points):
+    """The kernel 2 (min(s,t) - st)^2 as a covariance surface on a uniform grid."""
+    grid = Grid.uniform(points)
+    t = grid.points
+    return CovarianceSurface(grid, 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2)
+
+
 class TestBridgeSquaredKernelEigenvalues:
     def test_full_spectrum_reproduces_trace(self):
-        nu = bridge_sq_kernel_eigenvalues(None, 1000)
+        vals = out_of_place_spectrum(NYSTROM_POINTS)
+        nu = vals[: _keep_count(vals, NYSTROM_POINTS)]
         assert float(nu.sum()) == pytest.approx(1.0 / 15.0, abs=1e-4)
 
     def test_leading_eigenvalue(self):
-        nu1 = float(bridge_sq_kernel_eigenvalues(1, 1000)[0])
+        nu1 = float(bridge_sq_kernel_eigenvalues(1)[0])
         assert 0.03 < nu1 < 1.0 / 15.0
         # Converged: refining the quadrature grid moves it by < 1e-6.
-        nu1_fine = float(bridge_sq_kernel_eigenvalues(1, 2000)[0])
+        nu1_fine = float(out_of_place_spectrum(2 * NYSTROM_POINTS)[0])
         assert abs(nu1 - nu1_fine) < 1e-6
 
     def test_nonnegative_and_sorted(self):
-        nu = bridge_sq_kernel_eigenvalues(49, 1000)
+        nu = bridge_sq_kernel_eigenvalues(49)
         assert np.all(nu >= -1e-10)
         assert np.all(np.diff(nu) <= 0)
 
-    def test_too_coarse_grid_raises(self):
-        with pytest.raises(ResolutionError):
-            bridge_sq_kernel_eigenvalues(49, 100)
-
-    @staticmethod
-    def _kernel_surface(points):
-        grid = Grid.uniform(points)
-        t = grid.points
-        return CovarianceSurface(grid, 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2)
-
     def test_eigenvalue_only_solve_matches_eigendecompose(self):
-        nu = bridge_sq_kernel_eigenvalues(49, 1000)
-        full = eigendecompose(self._kernel_surface(1000), 49).eigenvalues
+        nu = bridge_sq_kernel_eigenvalues(49)
+        full = eigendecompose(kernel_surface(NYSTROM_POINTS), 49).eigenvalues
         assert nu.shape == (49,)
         assert np.allclose(nu, full, rtol=1e-12, atol=0.0)
 
-    def test_full_spectrum_keeps_the_eigendecompose_floor(self):
-        nu = bridge_sq_kernel_eigenvalues(None, 1000)
-        assert nu.size == eigendecompose(self._kernel_surface(1000), 1000).d
-
-    @pytest.mark.parametrize("count, points", [(49, 1000), (None, 1000), (5, 200)])
+    @pytest.mark.parametrize("count, points", [(49, 1000)])
     def test_one_buffer_build_matches_the_out_of_place_formula(self, count, points):
+        # The table holds the bits of the out-of-place formula on the law's grid.
         vals = out_of_place_spectrum(points)
-        keep = _keep_count(vals, points if count is None else count, None)
-        got = bridge_sq_kernel_eigenvalues(count, points)
-        assert got.tobytes() == vals[:keep].tobytes()
-
-    def test_one_buffer_build_traced_peak(self):
-        # One n x n buffer plus one transient n x n temporary; the
-        # out-of-place formula held three at once (about 23 MiB at n = 1000).
-        # count=None, because a count on the default grid reads the table.
-        n = 1000
-        bridge_sq_kernel_eigenvalues(None, n)  # first-call allocations stay out
-        tracemalloc.start()
-        try:
-            bridge_sq_kernel_eigenvalues(None, n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.2 * n * n * 8
+        got = bridge_sq_kernel_eigenvalues(count)
+        assert got.tobytes() == vals[: _keep_count(vals, count)].tobytes()
 
 
 class TestNystromTable:
-    """The default grid's eigenvalues come from ``_NYSTROM_TABLE``, not a solve."""
+    """The law's eigenvalues come from ``_NYSTROM_TABLE``, not a solve."""
 
     def test_every_entry_matches_the_out_of_place_formula(self):
         vals = out_of_place_spectrum(NYSTROM_POINTS)
@@ -128,18 +108,18 @@ class TestNystromTable:
 
     def test_every_count_keeps_every_entry(self):
         table = np.array(_NYSTROM_TABLE)
-        assert table.size == max_truncation()
+        assert table.size == MAX_TRUNCATION
         assert np.all(np.diff(table) < 0)
         assert np.all(table > default_eigenvalue_floor(float(table[0])))
         for count in (1, 49, 250):
-            assert _keep_count(table, count, None) == count
+            assert _keep_count(table, count) == count
             assert bridge_sq_kernel_eigenvalues(count).tobytes() == table[:count].tobytes()
 
     def test_checks_come_before_the_table(self):
         with pytest.raises(ConfigurationError):
             bridge_sq_kernel_eigenvalues(0)
         with pytest.raises(ResolutionError):
-            bridge_sq_kernel_eigenvalues(max_truncation() + 1)
+            bridge_sq_kernel_eigenvalues(MAX_TRUNCATION + 1)
 
     def test_returns_a_fresh_writable_array(self):
         law = simulate_tld(49, reps=MIN_REPS, seed=0)
@@ -167,16 +147,16 @@ class TestSimulateTld:
         assert law20k.critical_value(0.05) == pytest.approx(0.0726, abs=0.004)
 
     def test_deterministic_and_worker_count_free(self):
-        a = simulate_tld(truncation=7, reps=400, seed=99, nystrom_points=200)
-        b = simulate_tld(truncation=7, reps=400, seed=99, nystrom_points=200)
-        c = simulate_tld(truncation=7, reps=400, seed=99, nystrom_points=200, workers=2)
+        a = simulate_tld(truncation=7, reps=400, seed=99)
+        b = simulate_tld(truncation=7, reps=400, seed=99)
+        c = simulate_tld(truncation=7, reps=400, seed=99, workers=2)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.samples, c.samples)
 
     def test_replicate_streams_match_documented_scheme(self):
         # Replicate r must draw from Generator(Philox(seed).jumped(r)),
         # independently of chunking: reconstruct the draws by hand.
-        law = simulate_tld(truncation=5, reps=120, seed=17, nystrom_points=200)
+        law = simulate_tld(truncation=5, reps=120, seed=17)
         lam, nu = law.wiener_eigs, law.bridge_sq_eigs
         draws = []
         for r in range(120):
@@ -204,8 +184,8 @@ class TestSimulateTld:
             simulate_tld(truncation=5, reps=10, seed=0)
 
     def test_default_law_traced_peak(self):
-        # The default grid's eigenvalues come from the table, so no n x n
-        # kernel (8 MB at n = 1000) is built.
+        # The eigenvalues come from the table, so no n x n kernel (8 MB at
+        # n = 1000) is built.
         simulate_tld(49, reps=200)  # first-call allocations stay out
         tracemalloc.start()
         try:

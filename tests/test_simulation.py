@@ -208,6 +208,12 @@ class TestRunSizePower:
             report = run_size_power(scenario, variant, workers=WORKERS)
             assert 0.0 <= report.p_hat(4, 0.05) <= 0.5
 
+    def test_cvm2d_needs_every_d_at_least_two(self, law20k):
+        scenario = SimScenario(n=20, grid_size=40, d_list=(1, 3), reps=4, seed=16)
+        with pytest.raises(ConfigurationError, match=r"cvm2d needs d >= 2, got 1"):
+            run_size_power(scenario, "cvm2d", law=law20k)
+        assert run_size_power(scenario, "cvm-sum").p_hat(1, 0.05) >= 0.0
+
     def test_missing_inputs_raise(self):
         scenario = SimScenario(n=20, grid_size=40, reps=4, seed=15)
         with pytest.raises(ConfigurationError):
