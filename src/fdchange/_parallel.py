@@ -2,12 +2,13 @@
 
 Workers receive contiguous replicate ranges; every replicate draws from its
 own ``(seed, r)`` stream (see ``_rng``), so the concatenated result is
-identical for any worker count or scheduling order.
+identical for any worker count or scheduling order. The process pool is
+imported only when more than one worker is asked for, so a one-worker run
+never loads ``multiprocessing``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -34,6 +35,8 @@ def run_replicates(
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if workers == 1:
         return np.asarray(worker(0, total))
+    from concurrent.futures import ProcessPoolExecutor
+
     n_chunks = min(total, 4 * workers)
     bounds = np.linspace(0, total, n_chunks + 1).astype(int)
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]

@@ -341,13 +341,15 @@ class SegmentationTree:
         }
 
 
-def _segmentation_d_list(d_list, alpha: float, min_segment: int) -> tuple[int, ...]:
-    """``d_list`` as a tuple, once the settings of ``binary_segmentation`` pass its checks."""
+def _segmentation_d_list(
+    d_list, alpha: float, min_segment: int, name: str = "every d_list entry"
+) -> tuple[int, ...]:
+    """``d_list`` as a tuple, once the settings of ``binary_segmentation`` pass its
+    checks; segmentation is cvm2d at every d, so ``name`` goes to ``_require_cvm2d_d``."""
     d_tuple = tuple(int(d) for d in d_list)
     if not d_tuple:
         raise ConfigurationError("d_list must not be empty")
-    if min(d_tuple) < 2:
-        raise ConfigurationError("segmentation requires every d >= 2")
+    _require_cvm2d_d(d_tuple, name)
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
     if min_segment < 8:

@@ -270,7 +270,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    _segmentation_d_list(args.d_list, args.alpha, args.min_segment)
+    _segmentation_d_list(args.d_list, args.alpha, args.min_segment, "every --d-list entry")
     _check_law(args, args.reps, "--reps")
     sample = _load_sample(args, args.input)
     seed = _start_draws(args)

@@ -172,7 +172,10 @@ def empirical_covariance(sample: FunctionalSample) -> CovarianceSurface:
         raise InsufficientSampleError("covariance needs at least 2 curves")
     centered = sample.values - sample.values.mean(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        surface = centered.T @ centered / n
-        # Exact symmetry regardless of BLAS rounding order.
-        surface = (surface + surface.T) / 2.0
+        surface = centered.T @ centered
+        surface /= n
+        # Exact symmetry regardless of BLAS rounding order; numpy buffers the
+        # overlapping transpose, so the bits are those of (s + s.T) / 2.
+        surface += surface.T
+        surface /= 2.0
     return CovarianceSurface(sample.grid, _finite_covariance(surface))

@@ -170,8 +170,9 @@ def eigendecompose(surface: CovarianceSurface, d_max: int) -> EigenSystem:
             "surface is not positive semidefinite: "
             f"eigenvalue {vals[-1]:.3e} below -1e-8 * trace"
         )
-    functions = (vecs / np.sqrt(surface.grid.weights)[:, None]).T  # rows are eigenfunctions
     keep = _keep_count(vals, d_max)
+    # Only the kept eigenvectors are lifted; rows are eigenfunctions.
+    functions = (vecs[:, :keep] / np.sqrt(surface.grid.weights)[:, None]).T
     return _build_eigensystem(surface.grid, vals, functions, keep, d_max)
 
 

@@ -12,9 +12,11 @@ cell longer than ``csv.field_size_limit()``, are a ParseError that names the
 file. ``NA``, ``nan`` and blank cells are missing values; an infinite value or
 a number beyond the float range is a ParseError that names its line and column.
 
-The long layout is read by one ``np.loadtxt`` pass into an (n, 3) float
-table, with no Python object kept per observation, and grouped into curves
-by one stable sort. A file that pass cannot vouch for (a malformed or
+The long layout is read by ``np.loadtxt``, ``BLOCK_RECORDS`` records at a
+time, into three flat columns (curve, t, value) sized once from the file's
+line count, with no Python object kept per observation. Curves whose records
+are contiguous are views of those columns; interleaved ones are grouped by
+one stable sort. A file the block reader cannot vouch for (a malformed or
 missing ``t``, an infinite value, a blank id, a wrong field count, a record
 over several lines, an over-long line) is read again one record at a time,
 which gives the same curves bit for bit or the ParseError.
@@ -23,12 +25,14 @@ With smoothing enabled each curve is fit by least squares on the Fourier
 basis {1, sqrt(2) sin(2 pi k t), sqrt(2) cos(2 pi k t)} over t in [0, 1] and
 re-evaluated on a uniform analysis grid. Observation points inside [0, 1] are
 used as given; otherwise they are all mapped onto [0, 1] by their pooled
-range, so days 1..365 land on (k - 1) / 364 and no point is dropped. One
-design matrix is built on the distinct pooled points, and each curve's fit
-uses the rows of its own points. The fits of a block of curves are one
-batched solve of their normal equations, taken for a curve only when a
-Gershgorin certificate bounds the condition number of its Gram matrix; it
-agrees with per-curve least squares to about 1e-12 relative. Curves the
+range, so days 1..365 land on (k - 1) / 364 and no point is dropped.
+Smoothing works one block of ``BLOCK_CURVES`` curves at a time: it drops
+their missing cells, builds one design matrix on their distinct points, and
+fits each curve on the rows of its own points, so no cleaned or pooled copy
+of all the observations is made. The fits of a block are one batched solve
+of their normal equations, taken for a curve only when a Gershgorin
+certificate bounds the condition number of its Gram matrix; it agrees with
+per-curve least squares to about 1e-12 relative. Curves the
 certificate rejects (rank-deficient or clustered points) get the minimum-norm
 least-squares fit of their own design, bit for bit. Scaling the values by a
 power of two scales the smoothed curves exactly.
@@ -43,7 +47,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-from collections import defaultdict
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +68,11 @@ ENCODING = "utf-8-sig"
 #: Cells that mean a missing value once stripped and lower-cased.
 MISSING_CELLS = ("", "na", "nan")
 
-#: Curves per batched least-squares solve; bounds the (block, K, K) Gram stack.
+#: Curves per batched least-squares solve; bounds the (block, K, K) Gram stack
+#: and the cleaned points, design and design rows built at a time.
 BLOCK_CURVES = 64
+#: Long-layout records per ``np.loadtxt`` call; bounds its (block, 3) table.
+BLOCK_RECORDS = 8192
 #: Largest Gershgorin bound on the condition number of a curve's Gram matrix
 #: X'X for which its normal equations are solved; the solve then agrees with
 #: least squares to about CONDITION_BOUND * eps relative.
@@ -195,6 +202,28 @@ def _read_rows_layout(path: str) -> tuple[np.ndarray, list[np.ndarray]]:
     return t, rows
 
 
+class _CurveNumbers(dict):
+    """Curve numbers looked up by raw id cell: curves are stripped ids numbered
+    by first appearance, listed in ``ids``. Raw id cells and stripped ids both
+    map to their curve, so each distinct raw id is stripped once and " c1"
+    joins "c1". A blank id raises ValueError."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ids: list[str] = []
+
+    def __missing__(self, raw_id: str) -> int:
+        cid = raw_id.strip()
+        if not cid:
+            raise ValueError("empty curve id")
+        curve = self.get(cid)
+        if curve is None:
+            curve = self[cid] = len(self.ids)
+            self.ids.append(cid)
+        self[raw_id] = curve
+        return curve
+
+
 def _read_long_records(path: str) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:
     """The long layout one record at a time: the reader of every file that
     ``_read_long_table`` leaves to it, and the judge of its errors."""
@@ -206,30 +235,22 @@ def _read_long_records(path: str) -> tuple[list[str], list[np.ndarray], list[np.
             raise ParseError(
                 f"{path}: long layout needs exactly 3 columns (curve_id, t, value)"
             )
-        ids: list[str] = []
+        curve_of = _CurveNumbers()
         ts: list[list[float]] = []
         vs: list[list[float]] = []
-        # Raw id cells and stripped ids both map to their curve, so each
-        # distinct raw id is stripped once and " c1" joins "c1".
-        curve_of: dict[str, int] = {}
         for line_no, row in records:
             if len(row) != 3:
                 if not row:
                     continue
                 raise ParseError(f"{path}: line {line_no} has {len(row)} fields, expected 3")
             raw_id, t_cell, v_cell = row
-            curve = curve_of.get(raw_id)
-            if curve is None:
-                cid = raw_id.strip()
-                if not cid:
-                    raise ParseError(f"{path}: line {line_no}: empty curve id")
-                curve = curve_of.get(cid)
-                if curve is None:
-                    curve = curve_of[cid] = len(ids)
-                    ids.append(cid)
-                    ts.append([])
-                    vs.append([])
-                curve_of[raw_id] = curve
+            try:
+                curve = curve_of[raw_id]
+            except ValueError:
+                raise ParseError(f"{path}: line {line_no}: empty curve id") from None
+            if curve == len(ts):
+                ts.append([])
+                vs.append([])
             try:
                 t, v = float(t_cell), float(v_cell)
             except ValueError:  # NA, blank or malformed: the slow path below
@@ -241,9 +262,9 @@ def _read_long_records(path: str) -> tuple[list[str], list[np.ndarray], list[np.
                     raise ParseError(f"{path}: line {line_no}: missing observation point")
             ts[curve].append(t)
             vs[curve].append(v)
-    if not ids:
+    if not ts:
         raise ParseError(f"{path}: no curves found")
-    return ids, [np.array(t) for t in ts], [np.array(v) for v in vs]
+    return curve_of.ids, [np.array(t) for t in ts], [np.array(v) for v in vs]
 
 
 #: Line-break bytes mapped to ``\n``, the separators 0x1c-0x1f to ``s``, and
@@ -252,6 +273,11 @@ def _read_long_records(path: str) -> tuple[list[str], list[np.ndarray], list[np.
 _BREAKS = bytes(
     10 if b in b"\r\n" else 115 if 0x1C <= b <= 0x1F else 120 for b in range(256)
 )
+
+
+#: numpy's warnings of a blank line not counted towards ``max_rows`` and of a
+#: read that found no rows.
+_NO_DATA_WARNING = r"(Input line \d+|loadtxt: input) contained no data"
 
 
 def _text_lines(path: str, limit: int) -> int | None:
@@ -280,64 +306,68 @@ def _text_lines(path: str, limit: int) -> int | None:
 
 
 def _read_long_table(path: str):
-    """The long layout through ``np.loadtxt`` into one (n, 3) float table.
+    """The long layout through ``np.loadtxt``, ``BLOCK_RECORDS`` records at a
+    time, into three flat columns sized once: curve, t and value.
 
-    Column 0 holds the index of each distinct raw id cell, ``t`` goes through
-    numpy's float parser (which strips the whitespace ``str.strip`` strips
-    and reads the rest as ``float`` does), and value cells through
-    ``_value_cell``, so ids and bits match ``_read_long_records`` and no
-    Python object per cell is kept. Returns None for a file whose verdict
-    belongs to ``_read_long_records``: one ``loadtxt`` or a converter rejects
-    (a field count other than 3, a cell such as ``1_0`` or ``NA`` in ``t``,
-    bytes that are not UTF-8), a byte 0x1c-0x1f (numpy's parser would strip
-    it from ``t`` as whitespace, where ``float`` rejects it), a non-finite
-    ``t``, an infinite value, an id that is blank once stripped, a header
-    that is not one 3-field line, a line longer than csv's field limit, or a
-    record over several lines (each may be short while one of its cells is
-    over that limit). The last two show as more non-blank lines than
-    records, as a record over several lines has at least two that are not
+    Column 0 goes through ``_CurveNumbers``, ``t`` through numpy's float
+    parser (which strips the whitespace ``str.strip`` strips and reads the
+    rest as ``float`` does), and value cells through ``_value_cell``, so ids
+    and bits match ``_read_long_records`` and no Python object per cell is
+    kept. Returns None for a file whose verdict belongs to
+    ``_read_long_records``: one ``loadtxt`` or a converter rejects (a field
+    count other than 3, a cell such as ``1_0`` or ``NA`` in ``t``, an id that
+    is blank once stripped, bytes that are not UTF-8), a byte 0x1c-0x1f
+    (numpy's parser would strip it from ``t`` as whitespace, where ``float``
+    rejects it), a non-finite ``t``, an infinite value, a header that is not
+    one 3-field line, a line longer than csv's field limit, or a record over
+    several lines (each may be short while one of its cells is over that
+    limit). The last two show as fewer records than non-blank lines after
+    the header, as a record over several lines has at least two that are not
     blank.
+
+    Curves whose records are contiguous come back as views of the columns;
+    interleaved ones are grouped by one stable sort.
     """
     lines = _text_lines(path, csv.field_size_limit())
     if lines is None or lines < 2:
         return None
-    raw_ids: defaultdict[str, int] = defaultdict()
-    raw_ids.default_factory = raw_ids.__len__  # a new raw id gets the next index
+    records = lines - 1  # one line for the header, one per record
+    curve_of = _CurveNumbers()
+    curve = np.empty(records, dtype=np.intp)
+    t = np.empty(records)
+    v = np.empty(records)
     try:
-        with open(path, newline="", encoding=ENCODING) as fh:
+        with open(path, newline="", encoding=ENCODING) as fh, warnings.catch_warnings():
+            # ``max_rows`` skips blank lines with a warning, and a block past
+            # the last record warns of no data; the count below judges both.
+            warnings.filterwarnings("ignore", _NO_DATA_WARNING, UserWarning)
             reader = csv.reader(fh)
             header = next(reader, None)
             # A header over several lines shows in the count below too, but
-            # ``loadtxt`` would first warn of no data if it were all the file.
+            # ``loadtxt`` would first see no data if it were all the file.
             if header is None or len(header) != 3 or reader.line_num != 1:
                 return None
-            table = np.loadtxt(
-                fh, delimiter=",", quotechar='"', comments=None, encoding=ENCODING, ndmin=2,
-                converters={0: raw_ids.__getitem__, 2: _value_cell},
-            )
+            for start in range(0, records, BLOCK_RECORDS):
+                stop = min(start + BLOCK_RECORDS, records)
+                block = np.loadtxt(
+                    fh, delimiter=",", quotechar='"', comments=None, encoding=ENCODING,
+                    ndmin=2, max_rows=stop - start,
+                    converters={0: curve_of.__getitem__, 2: _value_cell},
+                )
+                if block.shape != (stop - start, 3):
+                    return None
+                if not np.isfinite(block[:, 1]).all() or np.isinf(block[:, 2]).any():
+                    return None
+                curve[start:stop] = block[:, 0]
+                t[start:stop] = block[:, 1]
+                v[start:stop] = block[:, 2]
     except (ValueError, csv.Error):
         return None
-    if table.shape != (lines - 1, 3):  # one line for the header, one per record
-        return None
-    if not np.isfinite(table[:, 1]).all() or np.isinf(table[:, 2]).any():
-        return None
-    # Curves are stripped ids numbered by first appearance; raw ids are
-    # numbered that way too, so their order gives the curves' order.
-    curve_of: dict[str, int] = {}
-    raw_curve = np.empty(len(raw_ids), dtype=np.intp)
-    for index, raw_id in enumerate(raw_ids):
-        cid = raw_id.strip()
-        if not cid:
-            return None
-        raw_curve[index] = curve_of.setdefault(cid, len(curve_of))
-    curve = raw_curve[table[:, 0].astype(np.intp)]
-    order = np.argsort(curve, kind="stable")  # each curve keeps its row order
-    bounds = np.cumsum(np.bincount(curve, minlength=len(curve_of)))[:-1]
-    return (
-        list(curve_of),
-        np.split(table[order, 1], bounds),
-        np.split(table[order, 2], bounds),
-    )
+    bounds = np.cumsum(np.bincount(curve, minlength=len(curve_of.ids)))[:-1]
+    if (curve[1:] < curve[:-1]).any():  # interleaved ids
+        order = np.argsort(curve, kind="stable")  # each curve keeps its row order
+        t, v = t[order], v[order]
+    return curve_of.ids, np.split(t, bounds), np.split(v, bounds)
 
 
 def _read_long_layout(path: str) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:
@@ -345,22 +375,33 @@ def _read_long_layout(path: str) -> tuple[list[str], list[np.ndarray], list[np.n
     return _read_long_records(path) if table is None else table
 
 
-def _rescale_times(path: str, ts: list[np.ndarray]) -> list[np.ndarray]:
-    """Observation points inside [0, 1] as given; otherwise mapped onto [0, 1]
-    by their pooled range."""
-    pooled = np.concatenate(ts)
-    if not pooled.size:  # no curve kept a point; the caller rejects them
-        return ts
-    lo, hi = float(pooled.min()), float(pooled.max())
+def _rescale_times(path: str, lo: float, hi: float) -> tuple[float, float]:
+    """The map ``t -> (t - lo) / span`` of observation points onto [0, 1], as
+    ``(lo, span)``, from their pooled range [lo, hi]. Points that already lie
+    inside [0, 1] (or none at all) get ``(0.0, 1.0)``, which leaves every
+    finite point bit for bit as given."""
     if 0.0 <= lo and hi <= 1.0:
-        return ts
+        return 0.0, 1.0
     if hi == lo:
         raise ParseError(f"{path}: observation points are all identical; cannot rescale")
     if not math.isfinite(hi - lo):
         raise ParseError(
             f"{path}: observation points run from {lo!r} to {hi!r}; the span overflows float64"
         )
-    return [(t - lo) / (hi - lo) for t in ts]
+    return lo, hi - lo
+
+
+def _usable(
+    path: str, label: str, t: np.ndarray, v: np.ndarray, config: IngestionConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """A curve's points and values without its missing values, which are a
+    ParseError under ``missing="fail"``."""
+    missing = np.isnan(v)
+    if not missing.any():
+        return t, v
+    if config.missing == "fail":
+        raise ParseError(f"{path}: curve {label}: missing values present")
+    return t[~missing], v[~missing]
 
 
 def _normal_equation_fit(
@@ -405,40 +446,54 @@ def _smooth(
     vs: list[np.ndarray],
     config: IngestionConfig,
 ) -> FunctionalSample:
-    assert config.basis_size is not None
-    cleaned_t, cleaned_v = [], []
-    for i, (t, v) in enumerate(zip(ts, vs)):
-        missing = np.isnan(v)
-        if missing.any():
-            if config.missing == "fail":
-                raise ParseError(f"{path}: curve {labels[i]}: missing values present")
-            t, v = t[~missing], v[~missing]
-        cleaned_t.append(t)
-        cleaned_v.append(v)
-    cleaned_t = _rescale_times(path, cleaned_t)
-    for i, t in enumerate(cleaned_t):
-        if t.size < config.basis_size:
+    """Fourier least-squares fits of the curves, re-evaluated on the analysis
+    grid. Missing cells are dropped, and points rescaled, one block of
+    curves at a time, so no cleaned copy of all the observations is made."""
+    size = config.basis_size
+    assert size is not None
+    lo, hi = math.inf, -math.inf
+    counts = []
+    for label, t, v in zip(labels, ts, vs):
+        t, _ = _usable(path, label, t, v, config)
+        counts.append(t.size)
+        if t.size:
+            lo, hi = min(lo, float(t.min())), max(hi, float(t.max()))
+    offset, span = _rescale_times(path, lo, hi)
+    for label, count in zip(labels, counts):
+        if count < size:
             raise ParseError(
-                f"{path}: curve {labels[i]}: only {t.size} usable observations for "
-                f"basis_size {config.basis_size}"
+                f"{path}: curve {label}: only {count} usable observations for "
+                f"basis_size {size}"
             )
     grid = Grid.uniform(config.grid_size)
-    eval_design = fourier_design(grid.points, config.basis_size)
-    # One design on the distinct pooled points, told apart by bit pattern, so
-    # the rows a curve gathers are bitwise the rows of its own design.
-    bits = np.unique(np.concatenate(cleaned_t).view(np.int64))
-    design = fourier_design(bits.view(np.float64), config.basis_size)
-    rows = [np.searchsorted(bits, t.view(np.int64)) for t in cleaned_t]
+    eval_design = fourier_design(grid.points, size)
+    coef = np.empty((len(ts), size))
+    fallback = {}
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        blocks = [slice(s, s + BLOCK_CURVES) for s in range(0, len(rows), BLOCK_CURVES)]
-        fits = [_normal_equation_fit(design, rows[b], cleaned_v[b]) for b in blocks]
-        coef = np.concatenate([c for c, _ in fits])
-        certified = np.concatenate([ok for _, ok in fits])
+        for start in range(0, len(ts), BLOCK_CURVES):
+            block = slice(start, start + BLOCK_CURVES)
+            cleaned = [
+                _usable(path, label, t, v, config)
+                for label, t, v in zip(labels[block], ts[block], vs[block])
+            ]
+            block_t = [(t - offset) / span for t, _ in cleaned]
+            block_v = [v for _, v in cleaned]
+            # One design on the block's distinct points, told apart by bit
+            # pattern, so the rows a curve gathers are bitwise the rows of
+            # its own design.
+            bits = np.unique(np.concatenate(block_t).view(np.int64))
+            design = fourier_design(bits.view(np.float64), size)
+            rows = [np.searchsorted(bits, t.view(np.int64)) for t in block_t]
+            coef[block], certified = _normal_equation_fit(design, rows, block_v)
+            # Curves the certificate cannot vouch for (rank-deficient or
+            # clustered points) keep the minimum-norm least-squares fit.
+            for j in np.flatnonzero(~certified):
+                fallback[start + j], *_ = np.linalg.lstsq(
+                    design[rows[j]], block_v[j], rcond=None
+                )
+        # One product over every curve: per block it would change the bits.
         values = coef @ eval_design.T
-        # Curves the certificate cannot vouch for (rank-deficient or clustered
-        # points) keep the minimum-norm least-squares fit.
-        for i in np.flatnonzero(~certified):
-            fit, *_ = np.linalg.lstsq(design[rows[i]], cleaned_v[i], rcond=None)
+        for i, fit in fallback.items():
             values[i] = eval_design @ fit
     overflowed = ~np.isfinite(values).all(axis=1)
     if overflowed.any():

@@ -587,7 +587,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, code, message",
         [
-            (("segment", "--d-list", "1,3"), 4, "segmentation requires every d >= 2"),
+            (("segment", "--d-list", "1,3"), 4,
+             "cvm2d needs every --d-list entry >= 2, got 1"),
             (("segment", "--d-list", ","), 4, "d_list must not be empty"),
             (("segment", "--alpha", "1.5"), 4, "alpha must be in (0, 1), got 1.5"),
             (("segment", "--min-segment", "2"), 4, "min_segment must be >= 8, got 2"),
@@ -804,6 +805,21 @@ class TestConsoleScript:
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_starts_no_process_pool(self):
+        # The pool is imported only for more than one worker; at import it
+        # cost about 2 MB of resident memory in every command.
+        pool = ("concurrent.futures.process", "multiprocessing")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, fdchange.cli; print([m for m in {pool!r} if m in sys.modules])"],
+            capture_output=True,
+            env=src_env(),
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_cli_import_skips_scipy_linalg(self, cli_files):
         # numpy is the only runtime dependency: no scipy module at all is

@@ -1,8 +1,11 @@
 """CSV ingestion: layouts, Fourier smoothing, rescaling, and export."""
 
 import csv
+import importlib
 import pathlib
 import tempfile
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +24,9 @@ from fdchange.ingest import (
     write_sample_csv,
 )
 from fdchange.simulation import generate_bm_sample
+
+#: The module itself; ``fdchange.ingest`` the attribute is the function.
+INGEST = importlib.import_module("fdchange.ingest")
 
 
 def in_span_curve(t, coefs):
@@ -647,6 +653,32 @@ def read_outcome(reader, path):
 #: csv's limit on the length of one cell.
 FIELD_LIMIT = csv.field_size_limit()
 
+#: A long file the table reads: quoted, padded and interleaved ids, every
+#: missing spelling, a blank line and CRLF line ends.
+QUOTED_SPACED_INTERLEAVED = [
+    "curve_id,t,value", 'c1,0.0,1.5', '"c,2",0.0,NA', " c1,0.5, na ", "",
+    '"c""3",0.0,-0.0', "c1 ,1.0,2.5", '"c,2",0.5,', "c2,1,nan", '"c""3",1e-3,-nan',
+    '" c2",0.25,1e300',
+]
+
+#: Bodies after the header whose verdict belongs to the per-row reader.
+ODD_BODIES = {
+    "underscore-t": "c0,1_0,1\n",  # float reads it, numpy's parser does not
+    "two-line-id": 'c0,0,1\n"c\n1",0,1\n',  # a record over two lines
+    "arabic-digit": "c0,0,1\r\nc2,0,2\rc1,\u0661,1\n",  # a digit numpy does not read
+    "na-t": "c0,0,1\nc1,NA,1\n",
+    "inf-t": "c0,0,1\nc1,inf,1\n",
+    "inf-value": "c0,0,1\nc1,0,-Infinity\n",
+    "bad-value": "c0,0,1\nc1,0,abc\n",
+    "blank-id": "c0,0,1\n ,0,1\n",
+    "four-fields": "c0,0,1,2\n",
+    "two-fields": "c0,0,1\nc1,0\n",
+    "whitespace-line": "c0,0,1\n   \n",
+    "long-id": "c" * (FIELD_LIMIT + 1) + ",0,1\n",
+    "long-t": "c0," + " " * FIELD_LIMIT + "0,1\n",
+    "no-rows": "\n\n",
+}
+
 
 class TestLongLayoutReaders:
     """``_read_long_table`` reads the long layout with ``np.loadtxt`` and leaves
@@ -654,42 +686,14 @@ class TestLongLayoutReaders:
 
     def test_table_reads_quoted_spaced_and_interleaved_ids(self, tmp_path):
         path = tmp_path / "long.csv"
-        lines = [
-            "curve_id,t,value", 'c1,0.0,1.5', '"c,2",0.0,NA', " c1,0.5, na ", "",
-            '"c""3",0.0,-0.0', "c1 ,1.0,2.5", '"c,2",0.5,', "c2,1,nan", '"c""3",1e-3,-nan',
-            '" c2",0.25,1e300',
-        ]
-        path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        path.write_bytes("\r\n".join(QUOTED_SPACED_INTERLEAVED).encode() + b"\r\n")
         table = read_outcome(_read_long_table, path)
         assert table == read_outcome(_read_long_records, path)
         ids, ts, _ = table
         assert ids == ["c1", "c,2", 'c"3', "c2"]
         assert np.frombuffer(ts[0]).tolist() == [0.0, 0.5, 1.0]
 
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "c0,1_0,1\n",  # float reads it, numpy's parser does not
-            'c0,0,1\n"c\n1",0,1\n',  # a record over two lines
-            "c0,0,1\r\nc2,0,2\rc1,\u0661,1\n",  # a digit numpy does not read
-            "c0,0,1\nc1,NA,1\n",
-            "c0,0,1\nc1,inf,1\n",
-            "c0,0,1\nc1,0,-Infinity\n",
-            "c0,0,1\nc1,0,abc\n",
-            "c0,0,1\n ,0,1\n",
-            "c0,0,1,2\n",
-            "c0,0,1\nc1,0\n",
-            "c0,0,1\n   \n",
-            "c" * (FIELD_LIMIT + 1) + ",0,1\n",
-            "c0," + " " * FIELD_LIMIT + "0,1\n",
-            "\n\n",
-        ],
-        ids=[
-            "underscore-t", "two-line-id", "arabic-digit", "na-t", "inf-t", "inf-value",
-            "bad-value", "blank-id", "four-fields", "two-fields", "whitespace-line",
-            "long-id", "long-t", "no-rows",
-        ],
-    )
+    @pytest.mark.parametrize("body", list(ODD_BODIES.values()), ids=list(ODD_BODIES))
     def test_per_row_reader_judges_what_the_table_cannot(self, tmp_path, body):
         path = tmp_path / "odd.csv"
         path.write_text("curve_id,t,value\n" + body, encoding="utf-8", newline="")
@@ -713,6 +717,84 @@ class TestLongLayoutReaders:
         path.write_text(f"curve_id,t,value\n{'c' * (FIELD_LIMIT + 1)},0,1\n")
         with pytest.raises(ParseError, match=r"long_id\.csv: line 2: field larger than"):
             ingest(str(path), IngestionConfig(layout="long", basis_size=None))
+
+
+class TestLongTableBlockEdges:
+    """The table reads ``BLOCK_RECORDS`` records per ``np.loadtxt`` call. With
+    blocks of 2 and 3 records every file below crosses block edges, and each
+    must give the per-row reader's bytes or its ParseError, with no warning."""
+
+    @pytest.fixture(autouse=True, params=[2, 3], ids=["block2", "block3"])
+    def small_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(INGEST, "BLOCK_RECORDS", request.param)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_quoted_spaced_and_interleaved_ids(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_bytes("\r\n".join(QUOTED_SPACED_INTERLEAVED).encode() + b"\r\n")
+        assert read_outcome(_read_long_table, path) == read_outcome(_read_long_records, path)
+
+    @pytest.mark.parametrize("body", list(ODD_BODIES.values()), ids=list(ODD_BODIES))
+    def test_per_row_reader_judges_what_the_table_cannot(self, tmp_path, body):
+        path = tmp_path / "odd.csv"
+        path.write_text("curve_id,t,value\n" + body, encoding="utf-8", newline="")
+        assert _read_long_table(str(path)) is None
+        assert read_outcome(_read_long_layout, path) == read_outcome(_read_long_records, path)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "blanks", [(k,) for k in range(8)] + [(2, 2), (0, 3, 6), tuple(range(8))]
+    )
+    def test_blank_lines_at_and_between_block_edges(self, tmp_path, blanks, end):
+        # A blank line goes before record k for each k in ``blanks``; 7 is
+        # after the last record.
+        records = [f"c{i // 3},{i / 10!r},{i}" for i in range(7)]
+        lines = ["curve_id,t,value"]
+        for k, record in enumerate([*records, None]):
+            lines += [""] * blanks.count(k) + ([record] if record else [])
+        path = tmp_path / "blank.csv"
+        path.write_text(end.join(lines) + end, encoding="utf-8", newline="")
+        table = read_outcome(_read_long_table, path)
+        assert table == read_outcome(_read_long_records, path)
+        assert table[0] == ["c0", "c1", "c2"]
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_two_line_record_across_a_block_edge(self, tmp_path, k):
+        records = [f"c{i},0.5,{i}" for i in range(7)]
+        records[k] = '"c\n1",0.5,1'
+        path = tmp_path / "spread.csv"
+        path.write_text("\n".join(["curve_id,t,value", *records]) + "\n", newline="")
+        assert _read_long_table(str(path)) is None
+        assert read_outcome(_read_long_layout, path) == read_outcome(_read_long_records, path)
+
+
+class TestIngestMemory:
+    def test_long_file_traced_peak(self, tmp_path):
+        # 600 curves x 365 days with 1% NA cells: 1.75 MB of points and as
+        # much of values. The reader sizes its columns once and smoothing
+        # cleans and fits a block of curves at a time; an (n, 3) table and
+        # pooled copies of every point took the peak to about 12.5 MB.
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((600, 365))
+        missing = rng.random(values.shape) < 0.01
+        path = tmp_path / "record.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("curve_id,t,value\n")
+            for i, (row, gaps) in enumerate(zip(values, missing)):
+                for day, (v, gap) in enumerate(zip(row.tolist(), gaps.tolist()), start=1):
+                    fh.write(f"c{i:04d},{day},{'NA' if gap else repr(v)}\n")
+        config = IngestionConfig(layout="long")
+        ingest(str(path), config)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            sample = ingest(str(path), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sample.values.shape == (600, 365)
+        assert peak < 9_000_000
 
 
 class TestTextEncoding:

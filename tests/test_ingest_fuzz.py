@@ -9,10 +9,12 @@ agree with its per-row reader on every file.
 
 import contextlib
 import csv
+import importlib
 import io
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,9 @@ from hypothesis import strategies as st
 from fdchange.cli import main
 from fdchange.errors import ParseError
 from fdchange.ingest import _read_long_layout, _read_long_records
+
+#: The module itself; ``fdchange.ingest`` the attribute is the function.
+INGEST = importlib.import_module("fdchange.ingest")
 
 NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -185,11 +190,7 @@ def long_outcome(reader, path):
     return ids, [t.tobytes() for t in ts], [v.tobytes() for v in vs]
 
 
-@FUZZ
-@given(text=long_texts())
-@example(text='"curve\nid",t,value\n')  # a header over two lines and nothing else
-@example(text="curve_id,t,value\nc1,\x1c0.5,0.0")  # numpy strips 0x1c, float does not
-def test_table_reader_agrees_with_per_row_reader(text):
+def assert_readers_agree(text):
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "long.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -197,3 +198,20 @@ def test_table_reader_agrees_with_per_row_reader(text):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no stray numpy warning on stderr
             assert long_outcome(_read_long_layout, path) == long_outcome(_read_long_records, path)
+
+
+@FUZZ
+@given(text=long_texts())
+@example(text='"curve\nid",t,value\n')  # a header over two lines and nothing else
+@example(text="curve_id,t,value\nc1,\x1c0.5,0.0")  # numpy strips 0x1c, float does not
+def test_table_reader_agrees_with_per_row_reader(text):
+    assert_readers_agree(text)
+
+
+@FUZZ
+@given(text=long_texts(), block=st.sampled_from([2, 3]))
+def test_table_reader_agrees_across_block_edges(text, block):
+    # Blocks of 2 or 3 records put blank lines, faults and records over
+    # several lines at and across the edges of the table's loadtxt calls.
+    with mock.patch.object(INGEST, "BLOCK_RECORDS", block):
+        assert_readers_agree(text)
