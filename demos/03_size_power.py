@@ -3,9 +3,10 @@
 The harness replays one protocol: n Brownian curves on a fine grid, an
 optional mean shift a*t*(1-t) after curve k_star, the test run at every
 d in d_list, rejection counted at every alpha in alpha_list.  Replicates
-are deterministic given the scenario seed and independent of the worker
-count.  Full-scale settings (1000 replicates, d up to 15) finish in
-minutes; this demo uses 250 replicates to stay quick.
+are deterministic given the scenario seed and run in one process; only the
+limit-law draw is spread over worker processes.  Full-scale settings (1000
+replicates, d up to 15) finish in minutes; this demo uses 250 replicates to
+stay quick.
 """
 
 import time
@@ -23,7 +24,7 @@ start = time.perf_counter()
 null_scenario = SimScenario(
     n=100, grid_size=500, d_list=(3, 5, 10), alpha_list=(0.05, 0.10), reps=250, seed=0
 )
-report = run_size_power(null_scenario, test="cvm2d", law=law, workers=2)
+report = run_size_power(null_scenario, test="cvm2d", law=law)
 
 print("null rejection rates (250 replicates):")
 print("   d   alpha   rate   90% band")
@@ -43,7 +44,7 @@ for a in (0.5, 1.0, 1.5):
         n=100, grid_size=500, a=a, k_star=50,
         d_list=(3, 5, 10), alpha_list=(0.05,), reps=250, seed=0,
     )
-    rep = run_size_power(scenario, test="cvm2d", law=law, workers=2)
+    rep = run_size_power(scenario, test="cvm2d", law=law)
     rates = "  ".join(f"{rep.p_hat(d, 0.05):.3f}" for d in (3, 5, 10))
     print(f"  {a:.1f}  {rates}")
 

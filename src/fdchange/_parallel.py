@@ -1,10 +1,12 @@
-"""Deterministic chunked fan-out for replicate loops.
+"""Deterministic chunked fan-out for the limit-law draws of ``limitdist``.
 
-Workers receive contiguous replicate ranges; every replicate draws from its
-own ``(seed, r)`` stream (see ``_rng``), so the concatenated result is
-identical for any worker count or scheduling order. The process pool is
-imported only when more than one worker is asked for, so a one-worker run
-never loads ``multiprocessing``.
+Its callers are ``simulate_tld`` and ``simulate_gamma_functional``. Fan out
+only loops that make no sizable BLAS calls: each forked worker keeps numpy's
+whole BLAS thread pool, so a loop with an eigensolve per replicate runs
+slower in more processes. Each worker gets a contiguous replicate range, and
+replicate r draws from its own ``(seed, r)`` stream (see ``_rng``), so the
+result is the same for any worker count or scheduling order. A one-worker
+run never imports the process pool or ``multiprocessing``.
 """
 
 from __future__ import annotations

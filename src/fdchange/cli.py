@@ -17,7 +17,8 @@ that. cvm2d needs d >= 2 (at d = 1 its statistic is 0), so ``cpt-test --d
 1`` and a 1 in the ``--d-list`` of ``simulate`` stop there too, with exit 4.
 The other commands are deterministic; ``cpt-test`` with a normal-limit
 method (``sup-bridge``, ``cvm-sum`` or ``sup-sum``) ignores ``--reps``,
-``--seed`` and ``--workers``.
+``--seed`` and ``--workers``. ``--workers`` parallelizes only the limit-law
+draw, so ``simulate`` uses it only for the ``--law-reps`` draw of cvm2d.
 Every JSON report starts with ``version``, ``command`` and, for a randomized
 command, ``seed``.
 """
@@ -200,7 +201,7 @@ def _add_law_flags(
     sub.add_argument("--seed", type=int, default=None,
                      help="RNG seed (default: fresh entropy, printed to stderr)")
     sub.add_argument("--workers", type=int, default=1,
-                     help="parallel worker processes (default 1)")
+                     help="worker processes for the limit-law draw only (default 1)")
 
 
 def _load_sample(args, path: str):
@@ -320,7 +321,7 @@ def _cmd_simulate(args) -> int:
     law = None
     if args.test == "cvm2d":
         law = simulate_tld(args.truncation, args.law_reps, seed=seed + 1, workers=args.workers)
-    report = run_size_power(scenario, args.test, law=law, workers=args.workers)
+    report = run_size_power(scenario, args.test, law=law)
     rows = list(report.rows)
     return _report(
         args, rows, seed, test=args.test, m=args.m, grid_size=args.grid_size, rows=rows

@@ -16,11 +16,9 @@ single tests do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from ._parallel import run_replicates
 from ._rng import replicate_rngs
 from .changepoint import CHANGEPOINT_TESTS, _require_cvm2d_d, _statistics, sample_cusum
 from .curves import FunctionalSample, Grid
@@ -138,13 +136,13 @@ def confidence_band(p_hat: float, reps: int) -> tuple[float, float]:
     return max(0.0, p_hat - half), min(1.0, p_hat + half)
 
 
-def _changepoint_chunk(scenario: SimScenario, test: str, start: int, stop: int) -> np.ndarray:
+def _changepoint_chunk(scenario: SimScenario, test: str) -> np.ndarray:
     grid = Grid.uniform(scenario.grid_size + 1)
     d_max = max(scenario.d_list)
     t = grid.points
     bump = scenario.a * t * (1.0 - t)
-    out = np.empty((stop - start, len(scenario.d_list)))
-    for i, rng in enumerate(replicate_rngs(scenario.seed, start, stop)):
+    out = np.empty((scenario.reps, len(scenario.d_list)))
+    for i, rng in enumerate(replicate_rngs(scenario.seed, 0, scenario.reps)):
         values = _bm_values(rng, scenario.n, scenario.grid_size)
         if scenario.a != 0.0 and scenario.k_star is not None:
             values[scenario.k_star :] += bump
@@ -153,14 +151,14 @@ def _changepoint_chunk(scenario: SimScenario, test: str, start: int, stop: int) 
     return out
 
 
-def _twosample_chunk(scenario: SimScenario, start: int, stop: int) -> np.ndarray:
+def _twosample_chunk(scenario: SimScenario) -> np.ndarray:
     grid = Grid.uniform(scenario.grid_size + 1)
     d_max = max(scenario.d_list)
     t = grid.points
     bump = scenario.a * t * (1.0 - t)
     m = scenario.m if scenario.m is not None else scenario.n
-    out = np.empty((stop - start, len(scenario.d_list)))
-    for i, rng in enumerate(replicate_rngs(scenario.seed, start, stop)):
+    out = np.empty((scenario.reps, len(scenario.d_list)))
+    for i, rng in enumerate(replicate_rngs(scenario.seed, 0, scenario.reps)):
         x_values = _bm_values(rng, scenario.n, scenario.grid_size)
         y_values = _bm_values(rng, m, scenario.grid_size)
         if scenario.a != 0.0:
@@ -178,7 +176,6 @@ def run_size_power(
     scenario: SimScenario,
     test: str = "cvm2d",
     law: LimitLaw | None = None,
-    workers: int = 1,
 ) -> SimReport:
     """Estimate rejection probabilities for every (d, alpha) of the scenario.
 
@@ -189,16 +186,15 @@ def run_size_power(
     thresholded at every alpha.
     """
     if test == "two-sample":
-        chunk = partial(_twosample_chunk, scenario)
+        stats = _twosample_chunk(scenario)
     elif test in CHANGEPOINT_TESTS:
         if test == "cvm2d":
             if law is None:
                 raise ConfigurationError("cvm2d needs a simulated LimitLaw")
             _require_cvm2d_d(scenario.d_list)
-        chunk = partial(_changepoint_chunk, scenario, test)
+        stats = _changepoint_chunk(scenario, test)
     else:
         raise ConfigurationError(f"unknown test {test!r}")
-    stats = run_replicates(chunk, scenario.reps, workers)
     p_values = law.p_value(stats) if test == "cvm2d" else normal_p_value(stats)
 
     rows = []

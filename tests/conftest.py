@@ -8,11 +8,12 @@ import pytest
 
 from fdchange.limitdist import simulate_tld
 
-#: Worker count for the heavier Monte Carlo fixtures and tests. One process:
-#: every forked worker keeps numpy's whole BLAS thread pool, so two workers on
-#: two cores ran four busy BLAS threads and took the suite from about 3.5 to
-#: 6.5-7 minutes. Results are the same for any worker count; the tests that
-#: check that pass ``workers=2`` themselves.
+#: Worker count for the limit-law fixtures and the Monte Carlo tests that call
+#: ``run_replicates`` themselves. One process: every forked worker keeps
+#: numpy's whole BLAS thread pool, so two workers on two cores ran four busy
+#: BLAS threads and took the suite from about 3.5 to 6.5-7 minutes. The law's
+#: draws are the same for any worker count; the tests that check that pass
+#: ``workers=2`` themselves. ``run_size_power`` always runs in one process.
 WORKERS = 1
 
 #: Seed for every session-scoped reference distribution. Fixed so that all

@@ -74,7 +74,6 @@ def size_sweep(law100k):
         ),
         test="cvm2d",
         law=law100k,
-        workers=WORKERS,
     )
     at_200 = run_size_power(
         SimScenario(
@@ -87,7 +86,6 @@ def size_sweep(law100k):
         ),
         test="cvm2d",
         law=law100k,
-        workers=WORKERS,
     )
     return at_100, at_200, time.perf_counter() - start
 
@@ -226,7 +224,6 @@ def test_criterion_05_power(law100k):
         ),
         test="cvm2d",
         law=law100k,
-        workers=WORKERS,
     ).p_hat(5, 0.05)
     moderate = run_size_power(
         SimScenario(
@@ -241,7 +238,6 @@ def test_criterion_05_power(law100k):
         ),
         test="cvm2d",
         law=law100k,
-        workers=WORKERS,
     ).p_hat(5, 0.05)
     assert strong >= 0.97
     assert 0.42 <= moderate <= 0.58
@@ -288,12 +284,10 @@ def test_criterion_07_two_sample():
     null_rate = run_size_power(
         SimScenario(n=100, m=100, a=0.0, d_list=(3,), alpha_list=(0.05,), reps=1000, seed=0),
         test="two-sample",
-        workers=WORKERS,
     ).p_hat(3, 0.05)
     power = run_size_power(
         SimScenario(n=100, m=100, a=1.0, d_list=(3,), alpha_list=(0.05,), reps=1000, seed=0),
         test="two-sample",
-        workers=WORKERS,
     ).p_hat(3, 0.05)
     assert 0.05 <= null_rate <= 0.10, null_rate
     assert power >= 0.90, power
@@ -313,12 +307,10 @@ def test_criterion_08_standardized_sum_variants():
     cvm_sum = run_size_power(
         SimScenario(n=200, grid_size=1000, d_list=(10,), alpha_list=(0.05,), reps=1000, seed=0),
         test="cvm-sum",
-        workers=WORKERS,
     ).p_hat(10, 0.05)
     sup_sum = run_size_power(
         SimScenario(n=100, grid_size=1000, d_list=(10,), alpha_list=(0.05,), reps=1000, seed=0),
         test="sup-sum",
-        workers=WORKERS,
     ).p_hat(10, 0.05)
     assert 0.04 <= cvm_sum <= 0.08, cvm_sum
     assert sup_sum > 0.07, sup_sum

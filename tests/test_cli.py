@@ -283,6 +283,29 @@ class TestSimulate:
         row = payload["rows"][0]
         assert row["k_star"] is None and 0.0 <= row["p_hat"] <= 1.0
 
+    @pytest.mark.parametrize("test, pools", [("two-sample", 0), ("cvm2d", 1)])
+    def test_workers_fan_out_only_the_law(self, capsys, monkeypatch, test, pools):
+        # Each forked worker keeps numpy's whole BLAS pool, so the scenario
+        # replicates (an eigensolve each) run in one process and only the
+        # law's draw starts a pool; the report cannot depend on --workers.
+        import concurrent.futures
+
+        started = []
+
+        class SpyPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+        argv = ("simulate", "--test", test, "--n", "30", "--grid-size", "60",
+                "--d-list", "3,5", "--reps", "40", "--law-reps", "2000", "--seed", "3")
+        one = run_cli(capsys, *argv, "--workers", "1")
+        assert started == []
+        two = run_cli(capsys, *argv, "--workers", "2")
+        assert started == [2] * pools
+        assert one[0] == 0 and one == two
+
 
 class TestFpcaSummary:
     def test_table_shape_and_monotonicity(self, capsys, cli_files):

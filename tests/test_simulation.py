@@ -17,8 +17,6 @@ from fdchange.simulation import (
 )
 from fdchange.twosample import two_sample_test
 
-from conftest import WORKERS
-
 
 class TestBrownianGenerator:
     def test_starts_at_zero_on_the_right_grid(self):
@@ -137,10 +135,10 @@ class TestRunSizePower:
         two = SimScenario(n=30, m=30, grid_size=60, alpha_list=(1.0,), reps=50, seed=11)
         assert run_size_power(two, "two-sample").p_hat(5, 1.0) == 1.0
 
-    def test_reproducible_and_worker_invariant(self, law20k):
+    def test_reproducible(self, law20k):
         scenario = SimScenario(n=40, grid_size=80, d_list=(3,), reps=60, seed=12)
-        a = run_size_power(scenario, "cvm2d", law=law20k, workers=1)
-        b = run_size_power(scenario, "cvm2d", law=law20k, workers=2)
+        a = run_size_power(scenario, "cvm2d", law=law20k)
+        b = run_size_power(scenario, "cvm2d", law=law20k)
         assert a.rows == b.rows
 
     def test_replicates_match_public_test_function(self, law20k):
@@ -193,19 +191,15 @@ class TestRunSizePower:
 
     def test_power_increases_with_shift_size(self, law20k):
         common = dict(n=60, grid_size=100, k_star=30, d_list=(5,), reps=200, seed=13)
-        weak = run_size_power(
-            SimScenario(a=0.5, **common), "cvm2d", law=law20k, workers=WORKERS
-        )
-        strong = run_size_power(
-            SimScenario(a=3.0, **common), "cvm2d", law=law20k, workers=WORKERS
-        )
+        weak = run_size_power(SimScenario(a=0.5, **common), "cvm2d", law=law20k)
+        strong = run_size_power(SimScenario(a=3.0, **common), "cvm2d", law=law20k)
         assert strong.p_hat(5, 0.05) > weak.p_hat(5, 0.05) + 0.2
         assert strong.p_hat(5, 0.05) > 0.9
 
     def test_corollary_variants_run(self):
         scenario = SimScenario(n=80, grid_size=100, d_list=(4,), reps=80, seed=14)
         for variant in ("cvm-sum", "sup-sum", "sup-bridge"):
-            report = run_size_power(scenario, variant, workers=WORKERS)
+            report = run_size_power(scenario, variant)
             assert 0.0 <= report.p_hat(4, 0.05) <= 0.5
 
     def test_cvm2d_needs_every_d_at_least_two(self, law20k):

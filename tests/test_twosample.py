@@ -17,8 +17,6 @@ from fdchange.fpca import eigendecompose
 from fdchange.simulation import generate_bm_sample, inject_shift
 from fdchange.twosample import pooled_covariance, pooled_eigensystem, two_sample_test
 
-from conftest import WORKERS
-
 
 class TestPooledCovariance:
     def test_constant_second_sample_contributes_nothing(self):
@@ -147,7 +145,7 @@ class TestNullRateStability:
         scenario = SimScenario(
             n=100, m=100, grid_size=500, d_list=tuple(range(2, 9)), reps=1000, seed=31
         )
-        report = run_size_power(scenario, test="two-sample", workers=WORKERS)
+        report = run_size_power(scenario, test="two-sample")
         rates = [report.p_hat(d, 0.05) for d in range(2, 9)]
         bands = [confidence_band(p, 1000) for p in rates]
         for i, (lo_i, hi_i) in enumerate(bands):
