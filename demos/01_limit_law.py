@@ -6,20 +6,18 @@ weighted by the eigenvalues of the Brownian covariance min(s, t) in one
 direction and of the squared-bridge kernel 2*(min(s,t) - s*t)^2 in the
 other.  Both spectra are known objects - the first in closed form, the
 second via Nystrom discretization - so the law can be simulated directly
-from its series representation.  As a cross-check, the same law can be
-simulated with no spectral shortcut at all, by integrating a Gaussian
-sheet; the two routes must agree.
+from its series representation.  Criterion 2 of tests/test_acceptance.py
+cross-checks it against the same law simulated with no spectral shortcut at
+all, by integrating a Gaussian sheet.
 """
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from fdchange import (
     CovarianceSurface,
     Grid,
     bridge_sq_kernel_eigenvalues,
     eigendecompose,
-    simulate_gamma_functional,
     simulate_tld,
     wiener_eigenvalues,
 )
@@ -54,16 +52,3 @@ for alpha in (0.01, 0.05, 0.10):
 
 stat = 0.0726
 print(f"\na statistic of {stat} would get p = {law.p_value(stat):.4f}")
-
-# ----------------------------------------------------------------------
-# Cross-check against the sheet route.  The series route truncates its
-# spectra, so for a sharp comparison we raise the truncation; the sheet
-# route discretizes an integral, so we give it a fine lattice.
-
-series = simulate_tld(120, reps=8_000, seed=2, workers=2)
-sheet = simulate_gamma_functional(grid_u=150, grid_x=150, reps=8_000, seed=2, workers=2)
-ks = ks_2samp(series.samples, sheet).statistic
-print("\nsame law, two samplers (8000 replicates each):")
-print(f"  series route mean {series.samples.mean():.5f}, sheet route mean {sheet.mean():.5f}")
-print(f"  exact limit mean 1/30 = {1 / 30:.5f}")
-print(f"  two-sample Kolmogorov-Smirnov distance: {ks:.4f}")

@@ -9,7 +9,6 @@ protocol, and a small CLI exposes the main operations on CSV inputs.
 
 from .changepoint import (
     CusumMatrix,
-    ProcessGrid,
     SegmentationTree,
     SegmentNode,
     TestOutcome,
@@ -19,7 +18,6 @@ from .changepoint import (
     cvm2d_test,
     estimate_changepoint,
     sample_cusum,
-    z_process,
 )
 from .curves import (
     CovarianceSurface,
@@ -51,7 +49,6 @@ from .limitdist import (
     bridge_sq_kernel_eigenvalues,
     bridge_sup_moments,
     normal_p_value,
-    simulate_gamma_functional,
     simulate_tld,
     wiener_eigenvalues,
 )

@@ -1,12 +1,13 @@
 """Deterministic chunked fan-out for the limit-law draws of ``limitdist``.
 
-Its callers are ``simulate_tld`` and ``simulate_gamma_functional``. Fan out
-only loops that make no sizable BLAS calls: each forked worker keeps numpy's
-whole BLAS thread pool, so a loop with an eigensolve per replicate runs
-slower in more processes. Each worker gets a contiguous replicate range, and
-replicate r draws from its own ``(seed, r)`` stream (see ``_rng``), so the
-result is the same for any worker count or scheduling order. A one-worker
-run never imports the process pool or ``multiprocessing``.
+Its one package caller is ``simulate_tld``; the tests' Gaussian-sheet sampler
+(``tests/_references.py``) uses it too. Fan out only loops that make no
+sizable BLAS calls: each forked worker keeps numpy's whole BLAS thread pool,
+so a loop with an eigensolve per replicate runs slower in more processes.
+Each worker gets a contiguous replicate range, and replicate r draws from its
+own ``(seed, r)`` stream (see ``_rng``), so the result is the same for any
+worker count or scheduling order. A one-worker run never imports the process
+pool or ``multiprocessing``.
 """
 
 from __future__ import annotations

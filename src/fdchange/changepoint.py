@@ -27,11 +27,9 @@ from .limitdist import LimitLaw, bridge_sup_moments, normal_p_value
 
 __all__ = [
     "CusumMatrix",
-    "ProcessGrid",
     "TestOutcome",
     "cusum_matrix",
     "sample_cusum",
-    "z_process",
     "cvm2d_test",
     "corollary_tests",
     "estimate_changepoint",
@@ -117,33 +115,6 @@ def _estimator_curve(braces: np.ndarray) -> np.ndarray:
     d = braces.shape[0]
     prefix = np.cumsum(braces, axis=0)[: d - 1]
     return (prefix * prefix).sum(axis=0)[1:] / d**2
-
-
-@dataclass(frozen=True, eq=False)
-class ProcessGrid:
-    """Z(u, x) evaluated at u = j/d (j = 1..d) and x = k/N (k = 0..N)."""
-
-    d: int
-    n: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.d, self.n + 1):
-            raise ValueError(f"process grid must be {self.d} x {self.n + 1}, got {v.shape}")
-        if float(np.max(np.abs(v[:, [0, -1]]))) != 0.0:
-            raise ValueError("process must vanish at x = 0 and x = 1")
-
-
-def z_process(cusum: CusumMatrix) -> ProcessGrid:
-    """The two-parameter process on its natural step grid."""
-    braces = _braces(cusum.values)
-    values = np.cumsum(braces, axis=0) / np.sqrt(cusum.d)
-    values[:, 0] = 0.0
-    values[:, -1] = 0.0  # exact: the bridge and x(1-x) both vanish there
-    return ProcessGrid(d=cusum.d, n=cusum.n, values=values)
 
 
 @dataclass(frozen=True)

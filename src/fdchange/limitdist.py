@@ -5,11 +5,9 @@ Under the null, the integrated squared process converges to
 standard normals, ``lambda_k = (pi (k - 1/2))^{-2}`` are the eigenvalues of
 the Wiener covariance min(t, s), and ``nu_l`` are the eigenvalues of the
 kernel ``2 (min(t, s) - t s)^2`` (the covariance of a squared Brownian
-bridge). This module simulates that law two independent ways:
-
-* ``simulate_tld``  - truncated double series with Nystrom-computed ``nu_l``;
-* ``simulate_gamma_functional`` - the Gaussian field itself, built from a
-  Wiener sheet via a time rescaling, integrated by quadrature.
+bridge). ``simulate_tld`` samples that law from its truncated double series;
+the tests check it against an independent Gaussian-sheet sampler
+(``tests/_references.py``).
 
 The ``nu_l`` are those of the kernel's Nystrom discretization on a fixed
 1000-point grid, which never change, so they are stored, not recomputed:
@@ -44,13 +42,12 @@ __all__ = [
     "LimitLaw",
     "normal_p_value",
     "simulate_tld",
-    "simulate_gamma_functional",
     "bridge_sup_moments",
 ]
 
 STANDARD_ALPHAS = (0.01, 0.05, 0.10)
 
-#: Fewest Monte Carlo draws either sampler accepts.
+#: Fewest Monte Carlo draws the sampler accepts.
 MIN_REPS = 100
 
 #: Grid points of the Nystrom discretization of the bridge-square kernel.
@@ -177,50 +174,6 @@ def simulate_tld(
         reps=reps,
         seed=seed,
     )
-
-
-def _gamma_chunk(
-    seed: int, grid_u: int, grid_x: int, start: int, stop: int
-) -> np.ndarray:
-    u_weights = np.full(grid_u + 1, 1.0 / grid_u)
-    u_weights[[0, -1]] /= 2.0
-    x = np.linspace(0.0, 1.0, grid_x + 1)
-    x_weights = np.full(grid_x + 1, 1.0 / grid_x)
-    x_weights[[0, -1]] /= 2.0
-    x_int = x[1:-1]
-    # Interior x maps to the sheet time y = x^2 / (1-x)^2; x = 1 is pinned to 0.
-    y = (x_int / (1.0 - x_int)) ** 2
-    dy = np.diff(y, prepend=0.0)
-    inc_scale = np.sqrt(dy / grid_u)
-    shrink = math.sqrt(2.0) * (1.0 - x_int) ** 2
-    out = np.empty(stop - start)
-    for i, rng in enumerate(replicate_rngs(seed, start, stop)):
-        increments = rng.standard_normal((grid_u, grid_x - 1)) * inc_scale[None, :]
-        sheet = increments.cumsum(axis=0).cumsum(axis=1)
-        gamma_sq = np.zeros((grid_u + 1, grid_x + 1))
-        gamma_sq[1:, 1:-1] = (sheet * shrink[None, :]) ** 2
-        out[i] = u_weights @ gamma_sq @ x_weights
-    return out
-
-
-def simulate_gamma_functional(
-    grid_u: int = 200,
-    grid_x: int = 200,
-    reps: int = 20_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> np.ndarray:
-    """Draws of the integrated squared limit field, simulated as a Wiener sheet.
-
-    ``grid_u``/``grid_x`` count increments; the field is evaluated on the
-    (grid_u + 1) x (grid_x + 1) lattice including both endpoints, where the
-    x = 0 and x = 1 columns vanish identically.
-    """
-    if grid_u < 50 or grid_x < 50:
-        raise ResolutionError("gamma-representation grids need at least 50 increments each")
-    if reps < MIN_REPS:
-        raise ConfigurationError(f"reps must be >= {MIN_REPS}, got {reps}")
-    return run_replicates(partial(_gamma_chunk, seed, grid_u, grid_x), reps, workers)
 
 
 #: zeta(3) and zeta(1/2), for the moments of the Kolmogorov law and its

@@ -8,13 +8,14 @@ import pytest
 
 from fdchange.limitdist import simulate_tld
 
-#: Worker count for the limit-law fixtures and the Monte Carlo tests that call
-#: ``run_replicates`` themselves. One process: every forked worker keeps
-#: numpy's whole BLAS thread pool, so two workers on two cores ran four busy
-#: BLAS threads and took the suite from about 3.5 to 6.5-7 minutes. The law's
-#: draws are the same for any worker count; the tests that check that pass
-#: ``workers=2`` themselves. ``run_size_power`` always runs in one process.
-WORKERS = 1
+#: Worker count for the limit-law draws (``simulate_tld``) and the Gaussian-sheet
+#: sampler of ``_references``, the only loops the tests fan out. Their draws
+#: make almost no BLAS calls, so they fork well: ``critical-values`` took about
+#: 3.3 s with two workers against 5-6 s with one on two cores. Loops with an
+#: eigensolve per replicate run in one process (a forked worker keeps numpy's
+#: whole BLAS thread pool); ``run_size_power`` always does. The draws are the
+#: same for any worker count.
+WORKERS = 2
 
 #: Seed for every session-scoped reference distribution. Fixed so that all
 #: frozen expectations in the suite refer to one reproducible simulation.

@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from _references import simulate_gamma_functional
 from conftest import LAW_SEED, TIMINGS, WORKERS
-from fdchange._parallel import run_replicates
 from fdchange._rng import replicate_rng
 from fdchange.changepoint import (
     _braces,
@@ -32,12 +32,7 @@ from fdchange.changepoint import (
 from fdchange.cli import main
 from fdchange.curves import CovarianceSurface, FunctionalSample, Grid
 from fdchange.fpca import compute_scores, eigendecompose, sample_eigensystem
-from fdchange.limitdist import (
-    NYSTROM_POINTS,
-    simulate_gamma_functional,
-    simulate_tld,
-    wiener_eigenvalues,
-)
+from fdchange.limitdist import NYSTROM_POINTS, simulate_tld, wiener_eigenvalues
 from fdchange.simulation import (
     SimScenario,
     _bm_values,
@@ -347,7 +342,7 @@ def test_criterion_09_localization():
     an implementation slip.  The 0.90 requirement is kept rather than
     weakened; the failure is deliberate and documented.
     """
-    errors = run_replicates(_localization_errors, 500, WORKERS)
+    errors = _localization_errors(0, 500)
     rate = float(np.mean(errors <= 10))
     print(
         f"criterion 9: localization within 10 in {rate:.4f} of 500 runs "

@@ -19,9 +19,7 @@ from fdchange.changepoint import (
     cvm2d_test,
     estimate_changepoint,
     sample_cusum,
-    z_process,
 )
-from fdchange._parallel import run_replicates
 from fdchange._rng import replicate_rng
 from fdchange.curves import FunctionalSample, Grid
 from fdchange.errors import ConfigurationError, DimensionError
@@ -29,7 +27,6 @@ from fdchange.fpca import compute_scores, sample_eigensystem
 from fdchange.simulation import _bm_values, generate_bm_sample, inject_shift
 
 from _datasets import MULTI_CHANGE_AFTER, multi_change_sample
-from conftest import WORKERS
 from test_limitdist import BETA, kolmogorov_moments
 
 
@@ -106,11 +103,21 @@ class TestCusumMatrix:
         assert np.max(np.abs(cusum.values)) / math.sqrt(200) < 3.0
 
 
+def z_process(cusum_values: np.ndarray) -> np.ndarray:
+    """Z(j/d, k/N) for j = 1..d and k = 0..N, from the module docstring:
+    d^(-1/2) times the prefix sums over components of the centred bridge
+    squares N^(-1) (S_j(k) - x S_j(N))^2 - x (1 - x) at x = k/N."""
+    d, n = cusum_values.shape[0], cusum_values.shape[1] - 1
+    x = np.arange(n + 1) / n
+    centred = (cusum_values - x * cusum_values[:, -1:]) ** 2 / n - x * (1.0 - x)
+    return np.cumsum(centred, axis=0) / math.sqrt(d)
+
+
 class TestZProcess:
     def test_boundary_columns_are_zero(self):
-        grid = z_process(bm_cusum(seed=1))
-        assert np.all(grid.values[:, 0] == 0.0)
-        assert np.all(grid.values[:, -1] == 0.0)
+        grid = z_process(bm_cusum(seed=1).values)
+        assert np.all(grid[:, 0] == 0.0)
+        assert np.all(grid[:, -1] == 0.0)
 
     def test_single_component_statistic_degenerates_to_zero(self):
         cusum = bm_cusum(d=1, seed=2)
@@ -119,13 +126,13 @@ class TestZProcess:
 
     def test_statistic_equals_cell_sum_of_squared_process(self):
         cusum = bm_cusum(d=5, seed=4)
-        grid = z_process(cusum)
+        grid = z_process(cusum.values)
         stat = _cvm_stats_by_prefix(_braces(cusum.values))[4]
         # Left rule: cells [j/d, (j+1)/d) carry the first j components, so the
         # last process row never enters and the k = N column has measure zero.
-        cells = grid.values[:-1, :-1]
+        cells = grid[:-1, :-1]
         assert stat == pytest.approx(
-            float((cells**2).sum()) / (grid.d * grid.n), rel=1e-12
+            float((cells**2).sum()) / (cusum.d * cusum.n), rel=1e-12
         )
 
 
@@ -372,6 +379,6 @@ class TestStatisticNullMean:
         # The limiting distribution has mean 1/30. At N = 200, d = 5 the
         # finite-sample statistic is biased low; the measured ratio over
         # these 1000 frozen replicates is 0.801, just inside the 20% band.
-        stats = run_replicates(_null_statistic_batch, 1000, WORKERS)
+        stats = _null_statistic_batch(0, 1000)
         ratio = float(stats.mean()) * 30.0
         assert 0.80 <= ratio <= 1.20

@@ -21,11 +21,11 @@ from fdchange.limitdist import (
     bridge_sq_kernel_eigenvalues,
     bridge_sup_moments,
     normal_p_value,
-    simulate_gamma_functional,
     simulate_tld,
     wiener_eigenvalues,
 )
 
+from _references import simulate_gamma_functional
 from conftest import WORKERS
 
 
