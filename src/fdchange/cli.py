@@ -17,8 +17,10 @@ that. cvm2d needs d >= 2 (at d = 1 its statistic is 0), so ``cpt-test --d
 1`` and a 1 in the ``--d-list`` of ``simulate`` stop there too, with exit 4.
 The other commands are deterministic; ``cpt-test`` with a normal-limit
 method (``sup-bridge``, ``cvm-sum`` or ``sup-sum``) ignores ``--reps``,
-``--seed`` and ``--workers``. ``--workers`` parallelizes only the limit-law
-draw, so ``simulate`` uses it only for the ``--law-reps`` draw of cvm2d.
+``--seed`` and ``--workers``. ``--workers`` counts the processes of the
+limit-law draw and of nothing else, so ``simulate`` uses it only for the
+``--law-reps`` draw of cvm2d: one process (the default) draws the law on its
+cores in threads, and N > 1 forks N processes.
 Every JSON report starts with ``version``, ``command`` and, for a randomized
 command, ``seed``.
 """
@@ -201,7 +203,8 @@ def _add_law_flags(
     sub.add_argument("--seed", type=int, default=None,
                      help="RNG seed (default: fresh entropy, printed to stderr)")
     sub.add_argument("--workers", type=int, default=1,
-                     help="worker processes for the limit-law draw only (default 1)")
+                     help="processes for the limit-law draw only: 1 draws it on this "
+                          "process's cores in threads, N > 1 forks N processes (default 1)")
 
 
 def _load_sample(args, path: str):

@@ -422,20 +422,24 @@ def _normal_equation_fit(
     size = design.shape[1]
     gram = np.empty((len(rows), size, size))
     rhs = np.empty((len(rows), size))
+    radius = np.empty((len(rows), size))
     exponent = np.empty(len(rows), dtype=int)
     for j, (r, v) in enumerate(zip(rows, values)):
         x = design[r]
         np.matmul(x.T, x, out=gram[j])
+        radius[j] = np.abs(gram[j]).sum(axis=1)
         exponent[j] = np.frexp(np.abs(v).max())[1]
         rhs[j] = np.ldexp(v, -exponent[j]) @ x
     diag = np.diagonal(gram, axis1=1, axis2=2)
-    radius = np.abs(gram).sum(axis=2) - diag
+    radius -= diag
     lo = (diag - radius).min(axis=1)
     hi = (diag + radius).max(axis=1)
     certified = (lo > 0) & (hi <= CONDITION_BOUND * lo)
-    solved = np.linalg.solve(gram[certified], rhs[certified, :, None])[..., 0]
+    # The whole stack, not a boolean-indexed copy, when every curve is solved.
+    pick = slice(None) if certified.all() else certified
+    solved = np.linalg.solve(gram[pick], rhs[pick, :, None])[..., 0]
     coef = np.zeros((len(rows), size))
-    coef[certified] = np.ldexp(solved, exponent[certified, None])
+    coef[pick] = np.ldexp(solved, exponent[pick, None])
     return coef, certified
 
 
@@ -469,6 +473,7 @@ def _smooth(
     eval_design = fourier_design(grid.points, size)
     coef = np.empty((len(ts), size))
     fallback = {}
+    bits = design = None
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         for start in range(0, len(ts), BLOCK_CURVES):
             block = slice(start, start + BLOCK_CURVES)
@@ -480,9 +485,11 @@ def _smooth(
             block_v = [v for _, v in cleaned]
             # One design on the block's distinct points, told apart by bit
             # pattern, so the rows a curve gathers are bitwise the rows of
-            # its own design.
-            bits = np.unique(np.concatenate(block_t).view(np.int64))
-            design = fourier_design(bits.view(np.float64), size)
+            # its own design; the previous block's when the points are its.
+            block_bits = np.unique(np.concatenate(block_t).view(np.int64))
+            if bits is None or not np.array_equal(block_bits, bits):
+                bits = block_bits
+                design = fourier_design(bits.view(np.float64), size)
             rows = [np.searchsorted(bits, t.view(np.int64)) for t in block_t]
             coef[block], certified = _normal_equation_fit(design, rows, block_v)
             # Curves the certificate cannot vouch for (rank-deficient or

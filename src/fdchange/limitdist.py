@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import run_replicates
-from ._rng import replicate_rngs
+from ._rng import _seed_sequence, replicate_rngs
 from .errors import ConfigurationError, ResolutionError
 
 __all__ = [
@@ -159,11 +159,21 @@ def simulate_tld(
     seed: int = 0,
     workers: int = 1,
 ) -> LimitLaw:
-    """Simulate the truncated double series and package it as a ``LimitLaw``."""
+    """Simulate the truncated double series and package it as a ``LimitLaw``.
+
+    ``workers=1`` draws the replicates in threads on the process's cores:
+    about 80% of a draw is numpy's normal fill, which runs without the GIL.
+    ``workers > 1`` forks that many processes. Replicate r draws from stream
+    ``(seed, r)`` either way, so the samples do not depend on either count.
+    """
     if reps < MIN_REPS:
         raise ConfigurationError(f"reps must be >= {MIN_REPS}, got {reps}")
     lam = wiener_eigenvalues(truncation)
     nu = bridge_sq_kernel_eigenvalues(truncation)
+    # The seed's SeedSequence is built here, in the calling thread: the first
+    # one imports numpy.random, whose allocations would otherwise stay in a
+    # drawing thread's malloc arena (about 0.8 MB more peak RSS).
+    _seed_sequence(seed)
     draws = run_replicates(partial(_tld_chunk, seed, lam, nu), reps, workers)
     draws.sort()
     return LimitLaw(

@@ -829,20 +829,34 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_cli_import_starts_no_process_pool(self):
-        # The pool is imported only for more than one worker; at import it
-        # cost about 2 MB of resident memory in every command.
-        pool = ("concurrent.futures.process", "multiprocessing")
+    #: Modules only ``--workers`` above 1 may load. The process pool cost
+    #: about 2 MB of resident memory at import, and ``concurrent.futures``
+    #: alone (with ``logging``) about 0.4 MB.
+    POOL_MODULES = ("concurrent.futures", "concurrent.futures.process", "multiprocessing")
+
+    def _loaded_pool_modules(self, code: str) -> str:
         proc = subprocess.run(
             [sys.executable, "-c",
-             f"import sys, fdchange.cli; print([m for m in {pool!r} if m in sys.modules])"],
+             f"import sys\n{code}\n"
+             f"print([m for m in {self.POOL_MODULES!r} if m in sys.modules])"],
             capture_output=True,
             env=src_env(),
             text=True,
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_cli_import_starts_no_process_pool(self):
+        assert self._loaded_pool_modules("import fdchange.cli") == "[]"
+
+    def test_one_worker_law_starts_no_process_pool(self):
+        # One worker draws the law in threads of its own process.
+        code = (
+            "from fdchange.limitdist import simulate_tld\n"
+            "simulate_tld(truncation=7, reps=400, seed=5, workers=1)"
+        )
+        assert self._loaded_pool_modules(code) == "[]"
 
     def test_cli_import_skips_scipy_linalg(self, cli_files):
         # numpy is the only runtime dependency: no scipy module at all is

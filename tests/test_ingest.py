@@ -398,6 +398,29 @@ class TestPooledDesignBitIdentity:
         sample = ingest(str(path), IngestionConfig(layout="long", basis_size=15, grid_size=365))
         assert_matches_least_squares(sample.values, per_curve_fit(curves, 15, 365))
 
+    def test_blocks_share_a_design_only_on_the_same_points(self, tmp_path, monkeypatch):
+        # Blocks of two curves: a design is built for the first block and
+        # again only where a block's distinct points differ from the block
+        # before it; the fits are those of one block of every curve.
+        rng = np.random.default_rng(107)
+        a, b, c = (np.sort(rng.uniform(0.0, 1.0, 30)) for _ in range(3))
+        points = [a, a, a, a, b, c, b, c, a, a]
+        curves = [(t, rng.standard_normal(t.size)) for t in points]
+        path = tmp_path / "blocks.csv"
+        write_long_cells(path, long_cells(curves))
+        config = IngestionConfig(layout="long", basis_size=7, grid_size=40)
+        whole = ingest(str(path), config)
+        built = []
+        design = INGEST.fourier_design
+        monkeypatch.setattr(INGEST, "BLOCK_CURVES", 2)
+        monkeypatch.setattr(
+            INGEST, "fourier_design", lambda t, k: built.append(t.size) or design(t, k)
+        )
+        blocked = ingest(str(path), config)
+        assert built == [40, 30, 60, 30]  # the grid, then blocks 1, 3 and 5
+        assert blocked.values.tobytes() == whole.values.tobytes()
+        assert_matches_least_squares(whole.values, per_curve_fit(curves, 7, 40))
+
     def test_rows_header_of_integers(self, tmp_path):
         # A header 1..100 is mapped by its range onto (t-1)/99, not read as
         # days of a year.
