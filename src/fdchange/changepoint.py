@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import FunctionalSample
-from .errors import ConfigurationError, DegenerateDataError, DimensionError
+from .errors import ConfigurationError, DegenerateDataError
 from .fpca import EigenSystem, ScoreMatrix, compute_scores, sample_eigensystem
 from .limitdist import LimitLaw, bridge_sup_moments, normal_p_value
 
@@ -41,6 +41,8 @@ __all__ = [
 COROLLARY_VARIANTS = ("sup-bridge", "cvm-sum", "sup-sum")
 #: Every change-point test: the limit-law one and its normal-limit companions.
 CHANGEPOINT_TESTS = ("cvm2d",) + COROLLARY_VARIANTS
+#: How ``_require_cvm2d_d`` names the change-point estimator in its error.
+ESTIMATOR = "change-point estimation"
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,15 +144,16 @@ def sample_cusum(sample: FunctionalSample, d: int) -> tuple[EigenSystem, CusumMa
     return eig, cusum_matrix(compute_scores(sample, eig, d))
 
 
-def _require_cvm2d_d(d_values, name: str = "d") -> None:
-    """Reject any d below 2 for cvm2d, calling it ``name`` in the error.
+def _require_cvm2d_d(d_values, name: str = "d", what: str = "cvm2d") -> None:
+    """Reject any d below 2 for ``what``, calling it ``name`` in the error.
 
-    The statistic integrates over strict prefixes of the components, so at
-    d = 1 it is 0 by construction and the test could never reject.
+    The cvm2d statistic and the change-point estimator both sum over strict
+    prefixes of the components, so at d = 1 they are 0 by construction: the
+    test could never reject and the estimator would have no curve to maximize.
     """
     low = min(d_values)
     if low < 2:
-        raise ConfigurationError(f"cvm2d needs {name} >= 2, got {low}")
+        raise ConfigurationError(f"{what} needs {name} >= 2, got {low}")
 
 
 def cvm2d_test(eig: EigenSystem, cusum: CusumMatrix, law: LimitLaw) -> TestOutcome:
@@ -223,8 +226,7 @@ def estimate_changepoint(cusum: CusumMatrix) -> int:
     The returned value is the estimated length of the pre-change prefix.
     Needs d >= 2: the aggregation runs over strict prefixes of components.
     """
-    if cusum.d < 2:
-        raise DimensionError(f"change-point estimation needs d >= 2, got d={cusum.d}")
+    _require_cvm2d_d([cusum.d], what=ESTIMATOR)
     curve = _estimator_curve(_braces(cusum.values))
     return int(np.argmax(curve)) + 1
 

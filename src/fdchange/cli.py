@@ -5,16 +5,19 @@ Exit codes: 0 success; 2 usage (argparse); 3 parse errors in input files;
 negative ``--seed`` and an unwritable ``--out``); 5 degenerate data
 (including grid mismatches between the two samples of ``two-sample``).
 
-The randomized commands are ``critical-values``, ``segment``, ``simulate``
-and ``cpt-test --method cvm2d``, which draw a Monte Carlo law or replicates.
-Each prints the effective seed on stderr so a rerun with ``--seed``
-reproduces its output byte for byte, and then checks that ``--out`` can be
-written before it draws anything. Each checks ``--workers`` and the law's
-settings (``--K``, and ``--reps``, or ``--law-reps`` of ``simulate``) before
-the seed is printed; ``simulate`` also checks its scenario, and ``cpt-test``
-and ``segment`` check their other settings and read their input, before
-that. cvm2d needs d >= 2 (at d = 1 its statistic is 0), so ``cpt-test --d
-1`` and a 1 in the ``--d-list`` of ``simulate`` stop there too, with exit 4.
+Commands check settings, then input, then seed. Checked before any file is
+read are the law's settings (``--K``, and ``--reps``, or ``--law-reps`` of
+``simulate``), the scenario, and d >= 2 for cvm2d and the change-point
+estimator (both sum over strict prefixes of the components, so both are 0
+at d = 1). So ``cpt-test --d 1``, ``estimate --d 1`` and a 1 in the
+``--d-list`` of ``segment`` or of ``simulate --test cvm2d`` exit 4 whether
+or not the input exists. Any other ``--d`` is checked against the data once
+it is read. Last,
+a randomized command (``critical-values``, ``segment``, ``simulate`` and
+``cpt-test --method cvm2d``, which draw a Monte Carlo law or replicates)
+checks ``--workers``, prints the effective seed on stderr so a rerun with
+``--seed`` reproduces its output byte for byte, and checks that ``--out``
+can be written, all before it draws anything.
 The other commands are deterministic; ``cpt-test`` with a normal-limit
 method (``sup-bridge``, ``cvm-sum`` or ``sup-sum``) ignores ``--reps``,
 ``--seed`` and ``--workers``. ``--workers`` counts the processes of the
@@ -41,6 +44,7 @@ from . import __version__
 from ._rng import resolve_seed
 from .changepoint import (
     CHANGEPOINT_TESTS,
+    ESTIMATOR,
     _require_cvm2d_d,
     _segmentation_d_list,
     binary_segmentation,
@@ -76,14 +80,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {key: _jsonable(value) for key, value in obj.items()}
+def _json_default(obj):
+    """What ``json`` cannot write itself: numpy arrays and numpy scalars."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _report(args, table: list[dict], seed: int | None = None, **fields) -> int:
@@ -98,7 +101,7 @@ def _report(args, table: list[dict], seed: int | None = None, **fields) -> int:
         envelope = {"version": __version__, "command": args.command}
         if seed is not None:
             envelope["seed"] = seed
-        text = json.dumps({**envelope, **_jsonable(fields)}, indent=2) + "\n"
+        text = json.dumps({**envelope, **fields}, indent=2, default=_json_default) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -244,12 +247,12 @@ def _cmd_critical_values(args) -> int:
 
 def _cmd_cpt_test(args) -> int:
     if args.method == "cvm2d":
+        _require_cvm2d_d([args.d], "--d")
         _check_law(args, args.reps, "--reps")
     sample = _load_sample(args, args.input)
     eig, cusum = sample_cusum(sample, args.d)
     seed = None
     if args.method == "cvm2d":
-        _require_cvm2d_d([args.d], "--d")
         seed = _start_draws(args)
         law = simulate_tld(args.truncation, args.reps, seed=seed, workers=args.workers)
         outcome = cvm2d_test(eig, cusum, law)
@@ -266,6 +269,7 @@ def _cmd_cpt_test(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    _require_cvm2d_d([args.d], "--d", ESTIMATOR)
     sample = _load_sample(args, args.input)
     _, cusum = sample_cusum(sample, args.d)
     theta = estimate_changepoint(cusum)
@@ -303,16 +307,13 @@ def _cmd_two_sample(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.test == "cvm2d":
         _check_law(args, args.law_reps, "--law-reps")
-    k_star = args.k_star
-    if args.a != 0.0 and k_star is None and args.test != "two-sample":
-        k_star = args.n // 2
     # The scenario is checked here, before the seed line; the seed is set after.
     scenario = SimScenario(
         n=args.n,
         m=args.m,
         grid_size=args.grid_size,
         a=args.a,
-        k_star=k_star,
+        k_star=args.k_star,
         d_list=args.d_list,
         alpha_list=args.alpha,
         reps=args.reps,

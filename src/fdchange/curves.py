@@ -3,7 +3,9 @@
 Curves are stored as raw evaluations on a shared quadrature grid. All
 integrals in the package reduce to weighted sums over such grids; the only
 supported quadrature rule is the trapezoid rule, which is exact for the
-piecewise-linear interpolants the rest of the code reasons about.
+piecewise-linear interpolants the rest of the code reasons about, so a
+``Grid`` takes only its points and derives its weights. ``FunctionalSample``
+alone checks that a sample has at least 2 curves.
 """
 
 from __future__ import annotations
@@ -43,27 +45,25 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Strictly increasing evaluation points spanning [0, 1] plus weights."""
+    """Strictly increasing evaluation points spanning [0, 1], with their
+    trapezoid weights."""
 
     points: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", _frozen(self.points))
-        object.__setattr__(self, "weights", _frozen(self.weights))
-        p, w = self.points, self.weights
+        p = _frozen(self.points)
+        object.__setattr__(self, "points", p)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("grid needs a 1-d array of at least 2 points")
-        if w.shape != p.shape:
-            raise ValueError("weights must match points in shape")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
-            raise ValueError("grid points and weights must be finite")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("grid points must be finite")
         if np.any(np.diff(p) <= 0):
             raise ValueError("grid points must be strictly increasing")
         if p[0] < 0.0 or p[-1] > 1.0:
             raise ValueError("grid points must lie in [0, 1]")
-        if np.any(w <= 0):
-            raise ValueError("quadrature weights must be positive")
+        w = _frozen(trapezoid_weights(p))
+        object.__setattr__(self, "weights", w)
         total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(
@@ -71,16 +71,11 @@ class Grid:
             )
 
     @classmethod
-    def from_points(cls, points: np.ndarray) -> "Grid":
-        """Grid with trapezoid weights on the given points (must span [0, 1])."""
-        return cls(points, trapezoid_weights(np.asarray(points, dtype=float)))
-
-    @classmethod
     def uniform(cls, size: int) -> "Grid":
         """Uniform grid of ``size`` points from 0 to 1 inclusive."""
         if size < 2:
             raise ValueError(f"uniform grid needs size >= 2, got {size}")
-        return cls.from_points(np.linspace(0.0, 1.0, size))
+        return cls(np.linspace(0.0, 1.0, size))
 
     @property
     def size(self) -> int:
@@ -168,8 +163,6 @@ def _finite_covariance(values: np.ndarray) -> np.ndarray:
 def empirical_covariance(sample: FunctionalSample) -> CovarianceSurface:
     """Empirical covariance surface with divisor N (not N-1)."""
     n = sample.n_curves
-    if n < 2:
-        raise InsufficientSampleError("covariance needs at least 2 curves")
     centered = sample.values - sample.values.mean(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         surface = centered.T @ centered

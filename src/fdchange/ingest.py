@@ -518,7 +518,7 @@ def _raw_grid(points: np.ndarray, what: str) -> Grid:
     if np.any(np.diff(points) <= 0):
         raise ParseError(f"{what} must be strictly increasing")
     try:
-        return Grid.from_points(points)
+        return Grid(points)
     except ValueError:
         raise ParseError(
             f"{what} run from {float(points[0])!r} to {float(points[-1])!r}; raw ingestion "

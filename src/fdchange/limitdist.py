@@ -87,33 +87,37 @@ def bridge_sq_kernel_eigenvalues(count: int) -> np.ndarray:
     return np.array(_NYSTROM_TABLE[:count])
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class LimitLaw:
-    """Simulated reference distribution with its defining spectra."""
+    """Simulated law: its spectra follow from ``truncation``, ``reps`` from ``samples``."""
 
-    wiener_eigs: np.ndarray
-    bridge_sq_eigs: np.ndarray
     truncation: int
     samples: np.ndarray = field(repr=False)  # sorted ascending
-    reps: int
     seed: int
 
     def __post_init__(self) -> None:
-        for name in ("wiener_eigs", "bridge_sq_eigs", "samples"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        lam, nu = self.wiener_eigs, self.bridge_sq_eigs
-        k = self.truncation
-        if lam.shape != (k,) or np.any(np.diff(lam) >= 0) or lam[-1] <= 0:
-            raise ValueError("wiener eigenvalues must be strictly decreasing and positive")
-        tail = 0.5 - lam.sum()
-        if not (0.0 < tail <= 2.0 / (np.pi**2 * k)):
-            raise ValueError("wiener eigenvalue partial sum violates its tail bound")
-        if nu.size > k or np.any(np.diff(nu) > 0) or np.any(nu < -1e-10):
-            raise ValueError("bridge-square eigenvalues must be non-increasing, >= 0")
-        if self.samples.shape != (self.reps,) or np.any(np.diff(self.samples) < 0):
-            raise ValueError("samples must be sorted, one per replicate")
+        samples = np.asarray(self.samples, dtype=float)
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
+        if samples.ndim != 1 or np.any(np.diff(samples) < 0):
+            raise ValueError("samples must be a sorted 1-d array, one per replicate")
+
+    @property
+    def reps(self) -> int:
+        return self.samples.size
+
+    @property
+    def wiener_eigs(self) -> np.ndarray:
+        return _read_only(wiener_eigenvalues(self.truncation))
+
+    @property
+    def bridge_sq_eigs(self) -> np.ndarray:
+        return _read_only(bridge_sq_kernel_eigenvalues(self.truncation))
 
     def critical_value(self, alpha: float) -> float:
         """Type-7 (linearly interpolated) upper quantile at level ``alpha``."""
@@ -176,14 +180,7 @@ def simulate_tld(
     _seed_sequence(seed)
     draws = run_replicates(partial(_tld_chunk, seed, lam, nu), reps, workers)
     draws.sort()
-    return LimitLaw(
-        wiener_eigs=lam,
-        bridge_sq_eigs=nu,
-        truncation=truncation,
-        samples=draws,
-        reps=reps,
-        seed=seed,
-    )
+    return LimitLaw(truncation=truncation, samples=draws, seed=seed)
 
 
 #: zeta(3) and zeta(1/2), for the moments of the Kolmogorov law and its

@@ -15,7 +15,7 @@ single tests do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,7 +144,7 @@ def _changepoint_chunk(scenario: SimScenario, test: str) -> np.ndarray:
     out = np.empty((scenario.reps, len(scenario.d_list)))
     for i, rng in enumerate(replicate_rngs(scenario.seed, 0, scenario.reps)):
         values = _bm_values(rng, scenario.n, scenario.grid_size)
-        if scenario.a != 0.0 and scenario.k_star is not None:
+        if scenario.a != 0.0:  # run_size_power has set k_star
             values[scenario.k_star :] += bump
         _, cusum = sample_cusum(FunctionalSample(grid, values), d_max)
         out[i] = _statistics(cusum.values, test, scenario.d_list)
@@ -183,11 +183,14 @@ def run_size_power(
     and so is d >= 2 throughout ``d_list``;
     the normal-limit tests, ``sup-bridge`` included, need nothing drawn
     beyond the replicates. Statistics are computed once per replicate and
-    thresholded at every alpha.
+    thresholded at every alpha. A change-point shift (``a != 0``) without a
+    ``k_star`` starts after ``n // 2``, which the report's scenario records.
     """
     if test == "two-sample":
         stats = _twosample_chunk(scenario)
     elif test in CHANGEPOINT_TESTS:
+        if scenario.a != 0.0 and scenario.k_star is None:
+            scenario = replace(scenario, k_star=scenario.n // 2)
         if test == "cvm2d":
             if law is None:
                 raise ConfigurationError("cvm2d needs a simulated LimitLaw")

@@ -22,7 +22,7 @@ from fdchange.changepoint import (
 )
 from fdchange._rng import replicate_rng
 from fdchange.curves import FunctionalSample, Grid
-from fdchange.errors import ConfigurationError, DimensionError
+from fdchange.errors import ConfigurationError
 from fdchange.fpca import compute_scores, sample_eigensystem
 from fdchange.simulation import _bm_values, generate_bm_sample, inject_shift
 
@@ -240,7 +240,9 @@ class TestEstimateChangepoint:
         assert curve[-1] == 0.0
 
     def test_needs_two_components(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(
+            ConfigurationError, match=r"change-point estimation needs d >= 2, got 1"
+        ):
             estimate_changepoint(bm_cusum(d=1, seed=20))
 
     def test_locates_strong_shift(self):

@@ -530,21 +530,48 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ("cpt-test", "{x}", "--reps", "500", "--seed", "1"),
-            ("cpt-test", "{x}", "--method", "cvm-sum"),
-            ("estimate", "{x}"),
-            ("two-sample", "{x}", "{x}"),
-            ("fpca-summary", "{x}"),
+            (("cpt-test", "{x}", "--reps", "500", "--seed", "1"),
+             "cvm2d needs --d >= 2, got 0"),
+            (("cpt-test", "{x}", "--method", "cvm-sum"), "d must be >= 1, got 0"),
+            (("estimate", "{x}"), "change-point estimation needs --d >= 2, got 0"),
+            (("two-sample", "{x}", "{x}"), "d must be >= 1, got 0"),
+            (("fpca-summary", "{x}"), "d must be >= 1, got 0"),
         ],
         ids=["cvm2d", "cvm-sum", "estimate", "two-sample", "fpca-summary"],
     )
-    def test_d_below_one_is_exit_4(self, capsys, cli_files, argv):
+    def test_d_below_one_is_exit_4(self, capsys, cli_files, argv, message):
         argv = [a.format(x=cli_files / "x.csv") for a in argv]
         code, out, err = run_cli(capsys, *argv, *RAW, "--d", "0")
         assert code == 4 and out == ""
-        assert err.splitlines()[-1] == "error: d must be >= 1, got 0"
+        assert err.splitlines()[-1] == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("cpt-test", "cvm2d needs --d >= 2, got 1"),
+            ("estimate", "change-point estimation needs --d >= 2, got 1"),
+        ],
+    )
+    def test_bad_d_is_exit_4_before_the_input_is_read(
+        self, capsys, tmp_path, monkeypatch, command, message
+    ):
+        def no_reads(*args, **kwargs):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr("fdchange.cli.ingest", no_reads)
+        code, out, err = run_cli(capsys, command, str(tmp_path / "missing.csv"), "--d", "1")
+        assert code == 4 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("layout", ["rows", "long"])
+    def test_empty_file_is_exit_3(self, capsys, tmp_path, layout):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code, out, err = run_cli(capsys, "fpca-summary", str(empty), "--layout", layout)
+        assert code == 3 and out == ""
+        assert err.splitlines() == [f"error: {empty}: empty file"]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_fpca_summary_of_identical_curves_is_exit_5(self, capsys, cli_files, fmt):
@@ -615,7 +642,7 @@ class TestExitCodes:
             (("segment", "--d-list", ","), 4, "d_list must not be empty"),
             (("segment", "--alpha", "1.5"), 4, "alpha must be in (0, 1), got 1.5"),
             (("segment", "--min-segment", "2"), 4, "min_segment must be >= 8, got 2"),
-            (("cpt-test", "--d", "0"), 4, "d must be >= 1, got 0"),
+            (("cpt-test", "--d", "0"), 4, "cvm2d needs --d >= 2, got 0"),
             (("cpt-test", "--d", "45"), 5, "requested d=45 but only"),
         ],
         ids=["d-list", "empty-d-list", "alpha", "min-segment", "d-zero", "d-too-large"],

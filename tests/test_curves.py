@@ -40,20 +40,34 @@ class TestGrid:
         assert np.trapezoid(f, pts) == pytest.approx(float(w @ f), rel=1e-14)
 
     def test_rejects_bad_grids(self):
-        with pytest.raises(ValueError):
-            Grid.from_points(np.array([0.0, 0.5, 0.5, 1.0]))  # not strictly increasing
-        with pytest.raises(ValueError):
-            Grid.from_points(np.array([-0.1, 1.0]))  # below 0
-        with pytest.raises(ValueError):
-            Grid.from_points(np.array([0.0, 1.1]))  # above 1
-        with pytest.raises(ValueError):
-            Grid(np.array([0.0, 1.0]), np.array([1.0, -0.5]))  # negative weight
-        with pytest.raises(ValueError):
-            Grid(np.array([0.0, 1.0]), np.array([0.7, 0.7]))  # does not sum to 1
+        with pytest.raises(ValueError, match="1-d array of at least 2 points"):
+            Grid(np.array([[0.0, 1.0], [0.0, 1.0]]))  # not 1-d
+        with pytest.raises(ValueError, match="1-d array of at least 2 points"):
+            Grid(np.array([0.5]))  # one point
+        with pytest.raises(ValueError, match="finite"):
+            Grid(np.array([0.0, np.nan, 1.0]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Grid(np.array([0.0, 0.5, 0.5, 1.0]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Grid(np.array([0.0, 0.6, 0.4, 1.0]))
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            Grid(np.array([-0.1, 1.0]))  # below 0
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            Grid(np.array([0.0, 1.1]))  # above 1
+        with pytest.raises(ValueError, match="integrate the constant 1"):
+            Grid(np.array([0.0, 0.5, 0.9]))  # inside [0, 1] but not spanning it
+
+    def test_weights_are_the_trapezoid_rule_of_the_points(self):
+        pts = np.array([0.0, 0.1, 0.35, 0.8, 1.0])
+        grid = Grid(pts)
+        assert grid.weights.tobytes() == trapezoid_weights(pts).tobytes()
+        assert not grid.weights.flags.writeable
+        with pytest.raises(TypeError):
+            Grid(pts, trapezoid_weights(pts))  # weights are derived, not given
 
     def test_grid_equality_tolerance(self):
         a = Grid.uniform(101)
-        b = Grid.from_points(np.clip(a.points + 1e-15, 0.0, 1.0))
+        b = Grid(np.clip(a.points + 1e-15, 0.0, 1.0))
         assert a.matches(b)
         c = Grid.uniform(102)
         assert not a.matches(c)

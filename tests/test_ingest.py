@@ -258,8 +258,12 @@ class TestParseErrors:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(ParseError, match="empty"):
-            ingest(str(path))
+        for layout in ("rows", "long"):
+            for basis_size in (49, None):
+                config = IngestionConfig(layout=layout, basis_size=basis_size)
+                with pytest.raises(ParseError) as caught:
+                    ingest(str(path), config)
+                assert str(caught.value) == f"{path}: empty file"
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "ragged.csv"

@@ -18,6 +18,7 @@ from fdchange.limitdist import (
     MAX_TRUNCATION,
     MIN_REPS,
     NYSTROM_POINTS,
+    LimitLaw,
     bridge_sq_kernel_eigenvalues,
     bridge_sup_moments,
     normal_p_value,
@@ -129,6 +130,27 @@ class TestNystromTable:
         assert not np.shares_memory(nu, law.bridge_sq_eigs)
         nu[:] = -1.0
         assert np.array_equal(bridge_sq_kernel_eigenvalues(49), law.bridge_sq_eigs)
+
+
+class TestLimitLaw:
+    """The law stores its draws; its spectra and count follow from them."""
+
+    def test_derives_count_and_spectra(self):
+        law = LimitLaw(truncation=7, samples=np.arange(150.0), seed=3)
+        assert law.reps == law.samples.size == 150
+        assert np.array_equal(law.wiener_eigs, wiener_eigenvalues(7))
+        assert np.array_equal(law.bridge_sq_eigs, bridge_sq_kernel_eigenvalues(7))
+        for spectrum in (law.wiener_eigs, law.bridge_sq_eigs, law.samples):
+            assert not spectrum.flags.writeable
+        # Each read is a fresh array: nothing a caller holds aliases another's.
+        assert not np.shares_memory(law.wiener_eigs, law.wiener_eigs)
+
+    @pytest.mark.parametrize(
+        "samples", [[1.0, 3.0, 2.0], [[1.0, 2.0]]], ids=["unsorted", "two-d"]
+    )
+    def test_rejects_samples_that_are_not_sorted_1d(self, samples):
+        with pytest.raises(ValueError, match="sorted 1-d"):
+            LimitLaw(truncation=3, samples=np.array(samples), seed=0)
 
 
 class TestSimulateTld:

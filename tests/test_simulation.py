@@ -1,5 +1,7 @@
 """Brownian-motion generator, shift injection, and the size/power harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,22 @@ class TestRunSizePower:
         strong = run_size_power(SimScenario(a=3.0, **common), "cvm2d", law=law20k)
         assert strong.p_hat(5, 0.05) > weak.p_hat(5, 0.05) + 0.2
         assert strong.p_hat(5, 0.05) > 0.9
+
+    @pytest.mark.parametrize("test", ["cvm-sum", "cvm2d"])
+    def test_shift_without_k_star_starts_at_the_midpoint(self, law20k, test):
+        scenario = SimScenario(n=40, grid_size=60, a=50.0, d_list=(3,), reps=30, seed=1)
+        law = law20k if test == "cvm2d" else None
+        report = run_size_power(scenario, test, law=law)
+        midpoint = run_size_power(replace(scenario, k_star=20), test, law=law)
+        assert report.scenario.k_star == 20
+        assert report.rows == midpoint.rows
+        assert report.p_hat(3, 0.05) == 1.0  # the power, not the size
+
+    def test_two_sample_shift_needs_no_k_star(self):
+        scenario = SimScenario(n=20, grid_size=40, a=2.0, d_list=(2,), reps=4, seed=3)
+        report = run_size_power(scenario, "two-sample")
+        assert report.scenario.k_star is None
+        assert all(row["k_star"] is None for row in report.rows)
 
     def test_corollary_variants_run(self):
         scenario = SimScenario(n=80, grid_size=100, d_list=(4,), reps=80, seed=14)
