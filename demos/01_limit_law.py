@@ -14,10 +14,8 @@ all, by integrating a Gaussian sheet.
 import numpy as np
 
 from fdchange import (
-    CovarianceSurface,
     Grid,
     bridge_sq_kernel_eigenvalues,
-    eigendecompose,
     simulate_tld,
     wiener_eigenvalues,
 )
@@ -33,12 +31,14 @@ print("  (closed form (pi*(k - 1/2))**-2; the full series sums to 1/2)")
 nu = bridge_sq_kernel_eigenvalues(5)
 print("leading eigenvalues of 2*(min-st)^2:  ", np.round(nu, 5))
 
-# Any other grid, or the whole spectrum, is an eigendecomposition of the
-# kernel surface.
+# Any other grid, or the whole spectrum, is the eigenvalues of the symmetric
+# matrix W^(1/2) K W^(1/2), with K the kernel on the grid and W its
+# trapezoid weights.
 grid = Grid.uniform(400)
 t = grid.points
-kernel = CovarianceSurface(grid, 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2)
-trace = eigendecompose(kernel, grid.size).eigenvalues.sum()
+kernel = 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2
+w_half = np.sqrt(grid.weights)
+trace = np.linalg.eigvalsh(w_half[:, None] * kernel * w_half[None, :]).sum()
 print(f"  (full spectrum on 400 points sums to {trace:.6f}; exact trace 1/15 = {1 / 15:.6f})")
 
 # ----------------------------------------------------------------------

@@ -19,12 +19,7 @@ from .changepoint import (
     estimate_changepoint,
     sample_cusum,
 )
-from .curves import (
-    CovarianceSurface,
-    FunctionalSample,
-    Grid,
-    empirical_covariance,
-)
+from .curves import FunctionalSample, Grid
 from .errors import (
     ConfigurationError,
     DegenerateDataError,
@@ -62,7 +57,6 @@ from .simulation import (
 )
 from .twosample import (
     TwoSampleOutcome,
-    pooled_covariance,
     pooled_eigensystem,
     two_sample_test,
 )

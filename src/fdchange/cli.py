@@ -6,18 +6,21 @@ negative ``--seed`` and an unwritable ``--out``); 5 degenerate data
 (including grid mismatches between the two samples of ``two-sample``).
 
 Commands check settings, then input, then seed. Checked before any file is
-read are the law's settings (``--K``, and ``--reps``, or ``--law-reps`` of
-``simulate``), the scenario, and d >= 2 for cvm2d and the change-point
+read are the draw settings of a randomized command (``critical-values``,
+``segment``, ``simulate`` and ``cpt-test --method cvm2d``, which draw a
+Monte Carlo law or replicates): ``--K`` and ``--reps`` (or ``--law-reps``
+of ``simulate``) when a limit law is drawn, then ``--workers``; the
+scenario; d >= 1 for ``fpca-summary``, ``two-sample`` and the normal-limit
+methods of ``cpt-test``; and d >= 2 for cvm2d and the change-point
 estimator (both sum over strict prefixes of the components, so both are 0
-at d = 1). So ``cpt-test --d 1``, ``estimate --d 1`` and a 1 in the
-``--d-list`` of ``segment`` or of ``simulate --test cvm2d`` exit 4 whether
-or not the input exists. Any other ``--d`` is checked against the data once
-it is read. Last,
-a randomized command (``critical-values``, ``segment``, ``simulate`` and
-``cpt-test --method cvm2d``, which draw a Monte Carlo law or replicates)
-checks ``--workers``, prints the effective seed on stderr so a rerun with
-``--seed`` reproduces its output byte for byte, and checks that ``--out``
-can be written, all before it draws anything.
+at d = 1). So ``cpt-test --d 1``, ``estimate --d 1``, ``fpca-summary
+--d 0``, a 1 in the ``--d-list`` of ``segment`` or of ``simulate --test
+cvm2d``, and ``--workers 0`` of a randomized command exit 4 whether or not
+the input exists. Whether d components survive the eigenvalue floor is
+checked once the data is read. Last, a randomized command prints the
+effective seed on stderr so a rerun with ``--seed`` reproduces its output
+byte for byte, and checks that ``--out`` can be written, all before it
+draws anything.
 The other commands are deterministic; ``cpt-test`` with a normal-limit
 method (``sup-bridge``, ``cvm-sum`` or ``sup-sum``) ignores ``--reps``,
 ``--seed`` and ``--workers``. ``--workers`` counts the processes of the
@@ -59,7 +62,7 @@ from .errors import (
     GridMismatchError,
     ParseError,
 )
-from .fpca import sample_eigensystem, variance_explained
+from .fpca import _check_d, sample_eigensystem, variance_explained
 from .ingest import FLOAT_FORMAT, IngestionConfig, ingest
 from .limitdist import MAX_TRUNCATION, MIN_REPS, STANDARD_ALPHAS, simulate_tld
 from .simulation import SimScenario, run_size_power
@@ -137,25 +140,27 @@ def _check_out(path: str) -> None:
 
 
 def _start_draws(args) -> int:
-    """Check --workers, resolve and announce the seed of a randomized command,
-    then check --out."""
-    if args.workers < 1:
-        raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
+    """Resolve and announce the seed of a randomized command, then check --out."""
     seed = resolve_seed(args.seed)
     print(f"seed: {seed}", file=sys.stderr)
     _check_out(args.out)
     return seed
 
 
-def _check_law(args, reps: int, flag: str) -> None:
-    """Reject, by flag name, a --K that the simulated law's Nystrom grid cannot
-    resolve and a replicate count ``reps`` (given as ``flag``) below MIN_REPS."""
-    if not 1 <= args.truncation <= MAX_TRUNCATION:
-        raise ConfigurationError(
-            f"--K must be between 1 and {MAX_TRUNCATION}, got {args.truncation}"
-        )
-    if reps < MIN_REPS:
-        raise ConfigurationError(f"{flag} must be >= {MIN_REPS}, got {reps}")
+def _check_law(args, reps: int | None, flag: str) -> None:
+    """Reject, by flag name, the draw settings of a randomized command: a --K
+    that the simulated law's Nystrom grid cannot resolve and a replicate count
+    ``reps`` (given as ``flag``) below MIN_REPS, unless ``reps`` is None (no
+    law is drawn), and a --workers below 1."""
+    if reps is not None:
+        if not 1 <= args.truncation <= MAX_TRUNCATION:
+            raise ConfigurationError(
+                f"--K must be between 1 and {MAX_TRUNCATION}, got {args.truncation}"
+            )
+        if reps < MIN_REPS:
+            raise ConfigurationError(f"{flag} must be >= {MIN_REPS}, got {reps}")
+    if args.workers < 1:
+        raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
 
 
 def _basis_size(text: str):
@@ -249,6 +254,8 @@ def _cmd_cpt_test(args) -> int:
     if args.method == "cvm2d":
         _require_cvm2d_d([args.d], "--d")
         _check_law(args, args.reps, "--reps")
+    else:
+        _check_d(args.d)
     sample = _load_sample(args, args.input)
     eig, cusum = sample_cusum(sample, args.d)
     seed = None
@@ -290,6 +297,7 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_two_sample(args) -> int:
+    _check_d(args.d)
     x = _load_sample(args, args.input)
     y = _load_sample(args, args.second)
     outcome = two_sample_test(x, y, args.d)
@@ -305,8 +313,7 @@ def _cmd_two_sample(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.test == "cvm2d":
-        _check_law(args, args.law_reps, "--law-reps")
+    _check_law(args, args.law_reps if args.test == "cvm2d" else None, "--law-reps")
     # The scenario is checked here, before the seed line; the seed is set after.
     scenario = SimScenario(
         n=args.n,
@@ -333,6 +340,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fpca_summary(args) -> int:
+    _check_d(args.d)
     sample = _load_sample(args, args.input)
     eig = sample_eigensystem(sample, args.d)
     cumulative = variance_explained(eig.eigenvalues)

@@ -1,4 +1,4 @@
-"""Discretized curves on [0, 1]: grids, samples and covariances.
+"""Discretized curves on [0, 1]: grids and samples.
 
 Curves are stored as raw evaluations on a shared quadrature grid. All
 integrals in the package reduce to weighted sums over such grids; the only
@@ -14,14 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDataError, GridMismatchError, InsufficientSampleError
+from .errors import GridMismatchError, InsufficientSampleError
 
-__all__ = [
-    "Grid",
-    "FunctionalSample",
-    "CovarianceSurface",
-    "empirical_covariance",
-]
+__all__ = ["Grid", "FunctionalSample"]
 
 #: Two grids are considered equal when their points agree within this.
 GRID_EQ_TOL = 1e-14
@@ -125,50 +120,3 @@ class FunctionalSample:
         if not (0 <= lo <= hi < self.n_curves):
             raise ValueError(f"row range [{lo}, {hi}] out of bounds for N={self.n_curves}")
         return FunctionalSample(self.grid, self.values[lo : hi + 1])
-
-
-@dataclass(frozen=True, eq=False)
-class CovarianceSurface:
-    """A symmetric kernel sampled on grid x grid."""
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen(self.values))
-        v = self.values
-        t = self.grid.size
-        if v.shape != (t, t):
-            raise ValueError(f"surface must be {t}x{t} for this grid, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("surface values must be finite")
-        scale = float(np.max(np.abs(v)))
-        if scale > 0 and float(np.max(np.abs(v - v.T))) > 1e-10 * scale:
-            raise ValueError("surface is not symmetric within 1e-10 relative tolerance")
-        if float(np.min(np.diagonal(v))) < -1e-10:
-            raise ValueError("surface diagonal has negative entries beyond tolerance")
-
-    def trace(self) -> float:
-        """Quadrature integral of the diagonal, sum of all operator eigenvalues."""
-        return float(np.dot(self.grid.weights, np.diagonal(self.values)))
-
-
-def _finite_covariance(values: np.ndarray) -> np.ndarray:
-    """``values``, a covariance built from data, unless it overflowed float64."""
-    if not np.all(np.isfinite(values)):
-        raise DegenerateDataError("the covariance overflows float64; rescale the curves")
-    return values
-
-
-def empirical_covariance(sample: FunctionalSample) -> CovarianceSurface:
-    """Empirical covariance surface with divisor N (not N-1)."""
-    n = sample.n_curves
-    centered = sample.values - sample.values.mean(axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        surface = centered.T @ centered
-        surface /= n
-        # Exact symmetry regardless of BLAS rounding order; numpy buffers the
-        # overlapping transpose, so the bits are those of (s + s.T) / 2.
-        surface += surface.T
-        surface /= 2.0
-    return CovarianceSurface(sample.grid, _finite_covariance(surface))

@@ -1,20 +1,21 @@
 """Functional principal components on a quadrature grid.
 
-The integral operator with kernel ``c`` is discretized as W^{1/2} C W^{1/2}
-(W the diagonal weight matrix), a symmetric matrix whose eigenvalues equal the
-operator's and whose eigenvectors, rescaled by W^{-1/2}, are orthonormal under
-the quadrature inner product. One Gram-matrix route (`_gram_eigensystem`)
-gets the same decomposition from N weighted curve rows via an N x N solve; it
-serves the sample and the pooled two-sample decompositions and thereby the
-simulation loops.
+Every covariance the package decomposes is R^T R / divisor, with R the rows
+of centered curves times W^{1/2} (W the diagonal trapezoid weights): the
+sample's curves for ``sample_eigensystem``, the two samples stacked with
+their weights for ``twosample.pooled_eigensystem``. ``eigendecompose``
+solves it from the smaller side of R: the N x N Gram matrix R R^T, whose
+eigenvectors it lifts through R, when N <= T, and the T x T matrix R^T R
+itself otherwise. Either way the eigenvectors, rescaled by W^{-1/2}, are
+eigenfunctions orthonormal under the quadrature inner product.
 
 Every eigensolve goes through ``numpy.linalg``, so that a run drives one
 BLAS library and thread pool. A solve that does not converge is degenerate
 data.
 
-This module owns the retention rule for every test: ``_require_components``
-decides whether d components survive the floor, and raises the one error
-each shortfall maps to (a d below 1, no component, fewer than d).
+This module owns the retention rule for every test: ``_check_d`` refuses a
+d below 1, and ``_require_components`` decides whether d components survive
+the floor, raising the one error each shortfall maps to.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import (
-    CovarianceSurface,
-    FunctionalSample,
-    Grid,
-    _finite_covariance,
-    empirical_covariance,
-    require_same_grid,
-)
+from .curves import FunctionalSample, Grid, require_same_grid
 from .errors import ConfigurationError, DegenerateDataError, DimensionError
 
 __all__ = [
@@ -130,68 +124,41 @@ def _build_eigensystem(
     )
 
 
-def _weighted_kernel(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Overwrite the kernel ``values`` with the symmetric W^{1/2} C W^{1/2}; return it.
+def _check_d(d: int) -> None:
+    """Refuse a component count below 1."""
+    if d < 1:
+        raise ConfigurationError(f"d must be >= 1, got {d}")
 
-    The operations are those of ``(b + b.T) / 2`` with ``b = w[:, None] * C
-    * w[None, :]``, in their order, so the bits match that formula; no
-    second n x n matrix outlives the call.
+
+def eigendecompose(grid: Grid, rows: np.ndarray, divisor: float, d_max: int) -> EigenSystem:
+    """Leading eigenpairs of the covariance ``rows.T @ rows / divisor``.
+
+    ``rows`` are N centered curves times W^{1/2}. When N <= T the N x N Gram
+    matrix is solved and its eigenvectors lifted through ``rows``; when
+    N > T the T x T matrix is solved directly. The Gram solve squares the
+    condition number, so a component many orders below the top can lift to
+    a function that is not orthonormal to the others: the leading
+    components that are orthonormal are kept and the rest dropped. Keeps
+    at most ``d_max`` eigenvalues above ``default_eigenvalue_floor`` of the
+    top one.
     """
-    w_half = np.sqrt(weights)
-    values *= w_half[:, None]
-    values *= w_half[None, :]
-    values += values.T  # numpy buffers the overlapping transpose
-    values /= 2.0
-    return values
-
-
-def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric matrix, largest first."""
+    _check_d(d_max)
+    n, t = rows.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        product = (rows @ rows.T if n <= t else rows.T @ rows) / divisor
+        product = (product + product.T) / 2.0
+    if not np.all(np.isfinite(product)):
+        raise DegenerateDataError("the covariance overflows float64; rescale the curves")
     try:
-        vals, vecs = np.linalg.eigh(matrix)
+        vals, vecs = np.linalg.eigh(product)
     except np.linalg.LinAlgError as exc:
         raise DegenerateDataError(f"the eigensolver failed: {exc}") from exc
-    return vals[::-1], vecs[:, ::-1]
-
-
-def eigendecompose(surface: CovarianceSurface, d_max: int) -> EigenSystem:
-    """Leading eigenpairs of the integral operator with kernel ``surface``.
-
-    Keeps at most ``d_max`` eigenvalues above ``default_eigenvalue_floor``
-    of the top one.
-    """
-    if d_max < 1:
-        raise ConfigurationError(f"d must be >= 1, got {d_max}")
-    b = _weighted_kernel(surface.grid.weights, surface.values.copy())
-    vals, vecs = _eigh(b)
-    trace = float(np.trace(b))
-    if vals.size and float(vals[-1]) < -1e-8 * max(trace, 0.0):
-        raise DegenerateDataError(
-            "surface is not positive semidefinite: "
-            f"eigenvalue {vals[-1]:.3e} below -1e-8 * trace"
-        )
+    vals, vecs = vals[::-1], vecs[:, ::-1]  # largest first
     keep = _keep_count(vals, d_max)
-    # Only the kept eigenvectors are lifted; rows are eigenfunctions.
-    functions = (vecs[:, :keep] / np.sqrt(surface.grid.weights)[:, None]).T
-    return _build_eigensystem(surface.grid, vals, functions, keep, d_max)
-
-
-def _gram_eigensystem(grid: Grid, rows: np.ndarray, divisor: float, d_max: int) -> EigenSystem:
-    """Eigensystem of the covariance of ``rows`` (curves times W^{1/2}) / ``divisor``.
-
-    Solves the small Gram matrix ``rows @ rows.T / divisor`` and lifts its
-    eigenvectors to quadrature-orthonormal eigenfunctions. The Gram solve
-    squares the condition number, so a component many orders below the top
-    can lift to a function that is not orthonormal to the others; the
-    leading components that lift cleanly are kept and the rest dropped.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        gram = rows @ rows.T / divisor
-        gram = (gram + gram.T) / 2.0
-    vals, vecs = _eigh(_finite_covariance(gram))
-    keep = _keep_count(vals, d_max)
-    lifted = (rows.T @ vecs[:, :keep]) / np.sqrt(divisor * vals[:keep])[None, :]
-    functions = (lifted / np.sqrt(grid.weights)[:, None]).T
+    vectors = vecs[:, :keep]
+    if n <= t:  # lift the Gram eigenvectors through the rows
+        vectors = (rows.T @ vectors) / np.sqrt(divisor * vals[:keep])[None, :]
+    functions = (vectors / np.sqrt(grid.weights)[:, None]).T
     gram_f = functions @ (grid.weights[:, None] * functions.T)
     i, j = np.nonzero(np.abs(gram_f - np.eye(keep)) > ORTHONORMAL_TOL)
     keep = int(np.maximum(i, j).min()) if i.size else keep
@@ -199,19 +166,10 @@ def _gram_eigensystem(grid: Grid, rows: np.ndarray, divisor: float, d_max: int) 
 
 
 def sample_eigensystem(sample: FunctionalSample, d_max: int) -> EigenSystem:
-    """Eigensystem of ``empirical_covariance(sample)`` via the N x N Gram matrix.
-
-    Mathematically identical to the surface route for every component above
-    the floor; costs O(N^2 T) instead of O(T^3).
-    """
-    if d_max < 1:
-        raise ConfigurationError(f"d must be >= 1, got {d_max}")
-    n, t = sample.values.shape
-    if n > t:
-        return eigendecompose(empirical_covariance(sample), d_max)
-    centered = sample.values - sample.values.mean(axis=0)
-    rows = centered * np.sqrt(sample.grid.weights)[None, :]
-    return _gram_eigensystem(sample.grid, rows, n, d_max)
+    """Eigensystem of the sample's covariance, divisor N (not N - 1)."""
+    rows = sample.values - sample.values.mean(axis=0)
+    rows *= np.sqrt(sample.grid.weights)[None, :]
+    return eigendecompose(sample.grid, rows, sample.n_curves, d_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,8 +208,7 @@ class ScoreMatrix:
 
 def _require_components(eig: EigenSystem, d: int) -> None:
     """Raise unless ``eig`` retains at least ``d`` >= 1 components."""
-    if d < 1:
-        raise ConfigurationError(f"d must be >= 1, got {d}")
+    _check_d(d)
     if eig.d == 0:
         raise DegenerateDataError(
             "degenerate covariance: no components above the eigenvalue floor"

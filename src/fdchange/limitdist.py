@@ -13,9 +13,10 @@ The ``nu_l`` are those of the kernel's Nystrom discretization on a fixed
 1000-point grid, which never change, so they are stored, not recomputed:
 ``_NYSTROM_TABLE`` at the end of the module holds the 250 leading ones, and
 ``bridge_sq_kernel_eigenvalues`` serves every law from it. Any other grid,
-or the whole discretized spectrum, is ``fpca.eigendecompose`` of the kernel
-surface; ``test_limitdist.TestNystromTable`` checks the table against an
-independent eigenvalue-only solve.
+or the whole discretized spectrum, is an eigenvalue-only solve of the
+symmetric matrix W^{1/2} K W^{1/2} (K the kernel on the grid, W its
+trapezoid weights), as ``demos/01_limit_law.py`` shows;
+``test_limitdist.TestNystromTable`` checks the table against that solve.
 
 It also gives the mean and sd of the maximum of a squared Brownian bridge on
 a grid, in closed form, for the ``sup-bridge`` normal-limit test, and the
@@ -70,12 +71,12 @@ def bridge_sq_kernel_eigenvalues(count: int) -> np.ndarray:
     """Leading ``count`` eigenvalues of the kernel 2 (min(t,s) - ts)^2, largest first.
 
     They are the Nystrom eigenvalues of the kernel on the ``NYSTROM_POINTS``
-    uniform trapezoid grid, with the symmetric weighting of
-    ``fpca.eigendecompose``, returned as a fresh array of the first
-    ``count`` entries of ``_NYSTROM_TABLE``. ``count`` runs from 1 to
-    ``MAX_TRUNCATION``. For another grid, or the whole discretized spectrum
-    (whose sum reproduces the kernel trace 1/15 to quadrature accuracy),
-    decompose the kernel surface with ``fpca.eigendecompose``.
+    uniform trapezoid grid, those of the symmetric matrix W^{1/2} K W^{1/2},
+    returned as a fresh array of the first ``count`` entries of
+    ``_NYSTROM_TABLE``. ``count`` runs from 1 to ``MAX_TRUNCATION``. For
+    another grid, or the whole discretized spectrum (whose sum reproduces
+    the kernel trace 1/15 to quadrature accuracy), solve that matrix on the
+    grid with ``numpy.linalg.eigvalsh``.
     """
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")

@@ -1,8 +1,11 @@
 """Two-sample mean comparison in a growing number of pooled components.
 
-The pooled covariance ``c_N + (N/M) c*_M`` supplies directions and scales;
-the statistic sums squared normalized projections of the mean difference and
-is compared to its normal limit after centering by d and scaling by sqrt(2d).
+The pooled covariance ``c_N + (N/M) c*_M`` supplies directions and scales.
+It is R^T R for the rows R of both samples' centered, weighted curves, the
+first sample's scaled by 1/sqrt(N) and the second's by sqrt(N)/M, so
+``fpca.eigendecompose`` solves it like a sample covariance. The statistic
+sums squared normalized projections of the mean difference and is compared
+to its normal limit after centering by d and scaling by sqrt(2d).
 Whether d pooled components exist is decided by ``fpca._require_components``,
 the rule the change-point tests use too.
 """
@@ -13,20 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (
-    CovarianceSurface,
-    FunctionalSample,
-    _finite_covariance,
-    empirical_covariance,
-    require_same_grid,
-)
-from .errors import ConfigurationError
-from .fpca import EigenSystem, _gram_eigensystem, _require_components, eigendecompose
+from .curves import FunctionalSample, require_same_grid
+from .fpca import EigenSystem, _require_components, eigendecompose
 from .limitdist import normal_p_value
 
 __all__ = [
     "TwoSampleOutcome",
-    "pooled_covariance",
     "pooled_eigensystem",
     "two_sample_test",
 ]
@@ -47,30 +42,17 @@ class TwoSampleOutcome:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
 
-def pooled_covariance(x: FunctionalSample, y: FunctionalSample) -> CovarianceSurface:
-    """c_N + (N/M) c*_M on the shared grid."""
-    require_same_grid(x.grid, y.grid, "pooled_covariance")
-    cx = empirical_covariance(x).values
-    cy = empirical_covariance(y).values
-    ratio = x.n_curves / y.n_curves
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        pooled = cx + ratio * cy
-    return CovarianceSurface(x.grid, _finite_covariance(pooled))
-
-
 def pooled_eigensystem(x: FunctionalSample, y: FunctionalSample, d_max: int) -> EigenSystem:
-    """Leading pooled components, via an (N+M) Gram solve when that is smaller."""
+    """Leading components of the pooled covariance c_N + (N/M) c*_M."""
     require_same_grid(x.grid, y.grid, "pooled_eigensystem")
-    if d_max < 1:
-        raise ConfigurationError(f"d must be >= 1, got {d_max}")
     n, m = x.n_curves, y.n_curves
-    if n + m > x.grid.size:
-        return eigendecompose(pooled_covariance(x, y), d_max)
-    w_half = np.sqrt(x.grid.weights)
-    xc = (x.values - x.values.mean(axis=0)) * w_half[None, :]
-    yc = (y.values - y.values.mean(axis=0)) * w_half[None, :]
-    stacked = np.vstack([xc / np.sqrt(n), yc * (np.sqrt(n) / m)])
-    return _gram_eigensystem(x.grid, stacked, 1, d_max)
+    rows = np.empty((n + m, x.grid.size))
+    np.subtract(x.values, x.values.mean(axis=0), out=rows[:n])
+    np.subtract(y.values, y.values.mean(axis=0), out=rows[n:])
+    rows *= np.sqrt(x.grid.weights)[None, :]
+    rows[:n] /= np.sqrt(n)
+    rows[n:] *= np.sqrt(n) / m
+    return eigendecompose(x.grid, rows, 1, d_max)
 
 
 def _projected_statistic(

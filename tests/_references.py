@@ -8,6 +8,12 @@ double series, so agreement between the two checks the series route.
 Replicate r draws from its own ``(seed, r)`` stream and the replicates run
 through ``fdchange._parallel.run_replicates``, so the draws are the same for
 any worker count.
+
+``kernel_spectrum`` is the eigenvalue-only solve of a kernel's Nystrom
+discretization, built out of place: the matrix W^{1/2} K W^{1/2},
+symmetrized, whose eigenvalues are those of the integral operator with
+kernel K on the grid. The stored table of ``limitdist`` holds its bits on
+the law's grid.
 """
 
 from __future__ import annotations
@@ -21,6 +27,13 @@ from fdchange._parallel import run_replicates
 from fdchange._rng import replicate_rngs
 from fdchange.errors import ConfigurationError, ResolutionError
 from fdchange.limitdist import MIN_REPS
+
+
+def kernel_spectrum(grid, kernel: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of the kernel sampled on ``grid`` x ``grid``."""
+    w_half = np.sqrt(grid.weights)
+    b = w_half[:, None] * kernel * w_half[None, :]
+    return np.linalg.eigvalsh((b + b.T) / 2.0)[::-1]
 
 
 def _gamma_chunk(

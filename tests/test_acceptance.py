@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from _references import simulate_gamma_functional
+from _references import kernel_spectrum, simulate_gamma_functional
 from conftest import LAW_SEED, TIMINGS, WORKERS
 from fdchange._rng import replicate_rng
 from fdchange.changepoint import (
@@ -30,8 +30,8 @@ from fdchange.changepoint import (
     estimate_changepoint,
 )
 from fdchange.cli import main
-from fdchange.curves import CovarianceSurface, FunctionalSample, Grid
-from fdchange.fpca import compute_scores, eigendecompose, sample_eigensystem
+from fdchange.curves import FunctionalSample, Grid
+from fdchange.fpca import _keep_count, compute_scores, sample_eigensystem
 from fdchange.limitdist import NYSTROM_POINTS, simulate_tld, wiener_eigenvalues
 from fdchange.simulation import (
     SimScenario,
@@ -157,19 +157,18 @@ def test_criterion_02_sampler_cross_check():
 def test_criterion_03_trace_identities():
     """Discretized spectra reproduce the exact kernel traces.
 
-    The eigendecomposition of the surface 2(min(s,t) - st)^2 on 1000 points,
+    The Nystrom spectrum of the kernel 2(min(s,t) - st)^2 on 1000 points,
     its whole spectrum above the default floor, must sum to the kernel trace
-    1/15 within 1e-4, and eigendecomposition of the surface min(s,t) must
-    recover (pi (k - 1/2))^{-2} for k <= 5 within 1e-3.
+    1/15 within 1e-4, and the spectrum of the kernel min(s,t) must recover
+    (pi (k - 1/2))^{-2} for k <= 5 within 1e-3.
     """
     grid = Grid.uniform(NYSTROM_POINTS)
     t = grid.points
-    kernel = CovarianceSurface(grid, 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2)
-    trace = float(eigendecompose(kernel, NYSTROM_POINTS).eigenvalues.sum())
+    vals = kernel_spectrum(grid, 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2)
+    trace = float(vals[: _keep_count(vals, NYSTROM_POINTS)].sum())
     assert abs(trace - 1.0 / 15.0) <= 1e-4
-    surface = CovarianceSurface(grid, np.minimum.outer(grid.points, grid.points))
-    eig = eigendecompose(surface, 5)
-    err = float(np.max(np.abs(eig.eigenvalues - wiener_eigenvalues(5))))
+    leading = kernel_spectrum(grid, np.minimum.outer(t, t))[:5]
+    err = float(np.max(np.abs(leading - wiener_eigenvalues(5))))
     assert err <= 1e-3
     print(
         f"criterion 3: bridge-square trace off 1/15 by {abs(trace - 1.0 / 15.0):.2e}; "

@@ -1,16 +1,9 @@
-"""Grids, the quadrature inner product, samples and empirical covariance surfaces."""
+"""Grids, the quadrature inner product and samples."""
 
 import numpy as np
 import pytest
 
-from fdchange.curves import (
-    CovarianceSurface,
-    FunctionalSample,
-    Grid,
-    empirical_covariance,
-    require_same_grid,
-    trapezoid_weights,
-)
+from fdchange.curves import FunctionalSample, Grid, require_same_grid, trapezoid_weights
 from fdchange.errors import GridMismatchError, InsufficientSampleError
 from fdchange.simulation import generate_bm_sample
 
@@ -107,68 +100,7 @@ class TestSampleMean:
         assert np.max(np.abs(sample.values.mean(axis=0))) < 0.15
 
 
-class TestEmpiricalCovariance:
-    def test_identical_curves_give_zero_surface(self):
-        grid = Grid.uniform(21)
-        f = np.sin(2 * grid.points)
-        sample = FunctionalSample(grid, np.tile(f, (4, 1)))
-        assert np.max(np.abs(empirical_covariance(sample).values)) == 0.0
-
-    def test_antisymmetric_pair_gives_outer_product(self):
-        # Divisor N: deviations are exactly +/- f, so the surface is f f^T
-        # (divisor N-1 would produce 2 f f^T).
-        grid = Grid.uniform(21)
-        f = grid.points * (1 - grid.points)
-        sample = FunctionalSample(grid, np.vstack([f, -f]))
-        surf = empirical_covariance(sample)
-        assert np.allclose(surf.values, np.outer(f, f), atol=1e-15)
-
-    def test_matches_biased_numpy_covariance(self):
-        rng = np.random.default_rng(5)
-        values = rng.standard_normal((8, 13))
-        sample = FunctionalSample(Grid.uniform(13), values)
-        expected = np.cov(values, rowvar=False, bias=True)
-        assert np.allclose(empirical_covariance(sample).values, expected, atol=1e-12)
-
-    def test_brownian_covariance_approaches_min_kernel(self):
-        sample = generate_bm_sample(2000, 100, seed=2718)
-        surf = empirical_covariance(sample).values
-        t = sample.grid.points
-        assert np.max(np.abs(surf - np.minimum.outer(t, t))) < 0.15
-
-    def test_location_invariance(self):
-        rng = np.random.default_rng(9)
-        grid = Grid.uniform(41)
-        values = rng.standard_normal((10, 41))
-        shift = np.sin(7 * grid.points)
-        a = empirical_covariance(FunctionalSample(grid, values)).values
-        b = empirical_covariance(FunctionalSample(grid, values + shift)).values
-        assert np.allclose(a, b, atol=1e-12)
-
-    def test_trace_identity(self):
-        # integral of c(t,t) dt == mean squared distance to the sample mean.
-        sample = generate_bm_sample(50, 64, seed=77)
-        surf = empirical_covariance(sample)
-        w = sample.grid.weights
-        centered = sample.values - sample.values.mean(axis=0)
-        direct = float(np.mean((centered**2 @ w)))
-        assert surf.trace() == pytest.approx(direct, rel=1e-10)
-
+class TestFunctionalSample:
     def test_insufficient_sample_raises(self):
         with pytest.raises(InsufficientSampleError):
             FunctionalSample(Grid.uniform(5), np.zeros((1, 5)))
-
-
-class TestCovarianceSurfaceInvariants:
-    def test_rejects_asymmetric_surface(self):
-        grid = Grid.uniform(5)
-        values = np.eye(5)
-        values[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            CovarianceSurface(grid, values)
-
-    def test_rejects_indefinite_surface(self):
-        grid = Grid.uniform(4)
-        values = -np.eye(4)
-        with pytest.raises(ValueError):
-            CovarianceSurface(grid, values)

@@ -1,13 +1,14 @@
 """Eigendecomposition, scores and variance fractions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import shapiro
 
 from fdchange import fpca
-from fdchange.curves import CovarianceSurface, FunctionalSample, Grid, empirical_covariance
+from fdchange.curves import FunctionalSample, Grid
 from fdchange.errors import DegenerateDataError, DimensionError
 from fdchange.fpca import (
     _spacings,
@@ -18,12 +19,44 @@ from fdchange.fpca import (
 )
 from fdchange.limitdist import wiener_eigenvalues
 from fdchange.simulation import generate_bm_sample
+from fdchange.twosample import pooled_eigensystem
 
 
-def brownian_surface(size=1001):
+def brownian_rows(size=1001):
+    """Rows R with R^T R = W^{1/2} K W^{1/2} for K = min(s, t) on a uniform grid.
+
+    min(t_i, t_j) sums dt over the steps below both points, so row k holds
+    sqrt(dt) at the points past step k; there are ``size - 1`` rows.
+    """
     grid = Grid.uniform(size)
-    t = grid.points
-    return CovarianceSurface(grid, np.minimum.outer(t, t))
+    steps = np.triu(np.ones((size - 1, size)), k=1) * math.sqrt(1.0 / (size - 1))
+    return grid, steps * np.sqrt(grid.weights)[None, :]
+
+
+def weighted_rows(sample):
+    """The sample's centered curves times W^{1/2}, built out of place."""
+    centered = sample.values - sample.values.mean(axis=0)
+    return centered * np.sqrt(sample.grid.weights)[None, :]
+
+
+def other_side(grid, rows, divisor, d):
+    """``eigendecompose`` of the same covariance from the other side of ``rows``.
+
+    Appended zero rows push N above T without changing R^T R; the T x T
+    triangle of a QR factorization has the same R^T R and brings N down to T.
+    """
+    n, t = rows.shape
+    if n <= t:
+        rows = np.vstack([rows, np.zeros((t + 1 - n, t))])
+    else:
+        rows = np.linalg.qr(rows, mode="r")
+    return eigendecompose(grid, rows, divisor, d)
+
+
+def assert_same_eigensystem(a, b):
+    assert a.d == b.d
+    assert np.allclose(a.eigenvalues, b.eigenvalues, rtol=1e-10)
+    assert np.allclose(a.functions, b.functions, atol=1e-7)
 
 
 #: Leading empirical eigenvalues reported for a 156-curve temperature dataset
@@ -41,39 +74,42 @@ REFERENCE_EIGENVALUES = [
 
 
 class TestEigendecompose:
-    def test_brownian_kernel_recovers_analytic_spectrum(self):
-        eig = eigendecompose(brownian_surface(), 5)
+    @pytest.mark.parametrize("pad", [0, 2], ids=["gram-side", "t-side"])
+    def test_brownian_kernel_recovers_analytic_spectrum(self, pad):
+        grid, rows = brownian_rows()
+        rows = np.vstack([rows, np.zeros((pad, grid.size))])
+        eig = eigendecompose(grid, rows, 1, 5)
         expected = wiener_eigenvalues(5)
         assert np.allclose(eig.eigenvalues, expected, atol=1e-3)
         assert eig.eigenvalues[0] == pytest.approx(0.405285, abs=1e-3)
         assert eig.eigenvalues[1] == pytest.approx(0.045032, abs=1e-3)
 
     def test_eigenfunctions_orthonormal_under_quadrature(self):
-        eig = eigendecompose(brownian_surface(301), 6)
+        eig = eigendecompose(*brownian_rows(301), 1, 6)
         gram = eig.functions @ (eig.grid.weights[:, None] * eig.functions.T)
         assert np.max(np.abs(gram - np.eye(6))) < 1e-8
 
-    def test_rank_one_surface(self):
+    def test_rank_one_rows(self):
         grid = Grid.uniform(101)
         f = np.sin(2 * np.pi * grid.points) * math.sqrt(2.0)  # unit norm
-        eig = eigendecompose(CovarianceSurface(grid, np.outer(f, f)), 2)
+        eig = eigendecompose(grid, (f * np.sqrt(grid.weights))[None, :], 1, 2)
         assert eig.d == 1
         assert eig.truncated
         assert eig.eigenvalues[0] == pytest.approx(1.0, rel=1e-6)
         sign = np.sign(eig.functions[0] @ (grid.weights * f))
         assert np.allclose(eig.functions[0], sign * f, atol=1e-6)
 
-    def test_zero_surface_yields_no_components(self):
-        grid = Grid.uniform(11)
-        eig = eigendecompose(CovarianceSurface(grid, np.zeros((11, 11))), 3)
+    @pytest.mark.parametrize("n", [5, 20], ids=["gram-side", "t-side"])
+    def test_zero_rows_yield_no_components(self, n):
+        eig = eigendecompose(Grid.uniform(11), np.zeros((n, 11)), n, 3)
         assert eig.d == 0
         assert eig.truncated
 
-    def test_sign_convention_and_determinism(self):
-        sample = generate_bm_sample(40, 120, seed=4)
-        surf = empirical_covariance(sample)
-        a = eigendecompose(surf, 4)
-        b = eigendecompose(surf, 4)
+    @pytest.mark.parametrize("n, t", [(40, 120), (120, 40)], ids=["gram-side", "t-side"])
+    def test_sign_convention_and_determinism(self, n, t):
+        sample = generate_bm_sample(n, t, seed=4)
+        a = sample_eigensystem(sample, 4)
+        b = sample_eigensystem(sample, 4)
         for j in range(4):
             peak = np.argmax(np.abs(a.functions[j]))
             assert a.functions[j][peak] > 0
@@ -81,7 +117,7 @@ class TestEigendecompose:
         assert np.array_equal(a.functions, b.functions)
 
     def test_spacings_definition(self):
-        eig = eigendecompose(brownian_surface(401), 4)
+        eig = eigendecompose(*brownian_rows(401), 1, 4)
         lam = eig.eigenvalues
         assert eig.spacings[0] == pytest.approx(lam[0] - lam[1], rel=1e-12)
         for j in range(1, 3):
@@ -122,38 +158,105 @@ class TestEigendecompose:
             retained = spectrum[:k].copy()
             assert _spacings(retained, nxt).tobytes() == reference(retained, nxt).tobytes()
 
-    def test_full_decomposition_reproduces_trace(self):
-        sample = generate_bm_sample(30, 40, seed=8)
-        surf = empirical_covariance(sample)
-        eig = eigendecompose(surf, surf.grid.size)
-        assert float(eig.eigenvalues.sum()) == pytest.approx(surf.trace(), rel=1e-8)
+    def test_overflow_is_degenerate_data_on_both_sides(self):
+        grid = Grid.uniform(5)
+        rows = np.full((3, 5), 1e155)
+        for side in (rows, np.vstack([rows, rows])):
+            with pytest.raises(DegenerateDataError, match="overflows float64"):
+                eigendecompose(grid, side, side.shape[0], 2)
 
-    def test_gram_fast_path_matches_surface_route(self):
-        # N < T exercises the N x N Gram solve; it must agree with the dense
-        # T x T route to roundoff.
-        sample = generate_bm_sample(25, 200, seed=12)
-        fast = sample_eigensystem(sample, 4)
-        dense = eigendecompose(empirical_covariance(sample), 4)
-        assert np.allclose(fast.eigenvalues, dense.eigenvalues, rtol=1e-10)
-        assert np.allclose(fast.functions, dense.functions, atol=1e-7)
 
-    def test_in_place_weighting_keeps_the_surface_and_the_bits(self, monkeypatch):
-        # The weighted, symmetrized kernel is built in place on a copy; the
-        # out-of-place formula it replaced gives the same eigenpairs bit for bit.
-        surf = empirical_covariance(generate_bm_sample(120, 90, seed=21))
-        before = surf.values.tobytes()
-        fresh = eigendecompose(surf, 8)
-        assert surf.values.tobytes() == before
+class TestSampleEigensystem:
+    """The covariance of a sample, divisor N, on both sides of the solve."""
 
-        def out_of_place(weights, values):
-            w_half = np.sqrt(weights)
-            b = w_half[:, None] * values * w_half[None, :]
-            return (b + b.T) / 2.0
+    @pytest.mark.parametrize("n", [63, 64, 65], ids=["n=t-1", "n=t", "n=t+1"])
+    def test_both_sides_agree(self, n):
+        sample = generate_bm_sample(n, 63, seed=n)  # 64 grid points
+        assert sample.grid.size == 64
+        eig = sample_eigensystem(sample, 6)
+        assert_same_eigensystem(eig, other_side(sample.grid, weighted_rows(sample), n, 6))
 
-        monkeypatch.setattr(fpca, "_weighted_kernel", out_of_place)
-        reference = eigendecompose(surf, 8)
-        for name in ("eigenvalues", "functions", "spacings"):
-            assert getattr(fresh, name).tobytes() == getattr(reference, name).tobytes()
+    @pytest.mark.parametrize("n, t", [(25, 200), (120, 90)], ids=["gram-side", "t-side"])
+    def test_matches_the_biased_numpy_covariance(self, n, t):
+        sample = generate_bm_sample(n, t, seed=12)
+        eig = sample_eigensystem(sample, 4)
+        w_half = np.sqrt(sample.grid.weights)
+        cov = np.cov(sample.values, rowvar=False, bias=True)
+        dense = np.linalg.eigvalsh(w_half[:, None] * cov * w_half[None, :])[::-1]
+        assert np.allclose(eig.eigenvalues, dense[:4], rtol=1e-10)
+
+    def test_antisymmetric_pair_gives_the_outer_product(self):
+        # Divisor N: deviations are exactly +/- f, so the covariance is f f^T
+        # with eigenvalue ||f||^2 (divisor N-1 would give 2 ||f||^2).
+        grid = Grid.uniform(21)
+        f = grid.points * (1 - grid.points)
+        eig = sample_eigensystem(FunctionalSample(grid, np.vstack([f, -f])), 1)
+        norm_sq = float(grid.weights @ (f * f))
+        assert eig.eigenvalues[0] == pytest.approx(norm_sq, rel=1e-12)
+        assert np.allclose(np.abs(eig.functions[0]), np.abs(f) / math.sqrt(norm_sq), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [10, 60], ids=["gram-side", "t-side"])
+    def test_location_invariance(self, n):
+        rng = np.random.default_rng(9)
+        grid = Grid.uniform(41)
+        values = rng.standard_normal((n, 41))
+        shift = np.sin(7 * grid.points)
+        a = sample_eigensystem(FunctionalSample(grid, values), 5)
+        b = sample_eigensystem(FunctionalSample(grid, values + shift), 5)
+        assert_same_eigensystem(a, b)
+
+    @pytest.mark.parametrize("n", [30, 60], ids=["gram-side", "t-side"])
+    def test_full_spectrum_reproduces_the_trace(self, n):
+        # The eigenvalues sum to the integral of c(t, t): sum_t w_t var_t.
+        sample = generate_bm_sample(n, 39, seed=8)
+        eig = sample_eigensystem(sample, sample.grid.size)
+        trace = float(sample.grid.weights @ sample.values.var(axis=0))
+        assert float(eig.eigenvalues.sum()) == pytest.approx(trace, rel=1e-8)
+
+    def test_brownian_covariance_approaches_the_min_kernel(self):
+        eig = sample_eigensystem(generate_bm_sample(2000, 100, seed=2718), 3)
+        assert np.allclose(eig.eigenvalues, wiener_eigenvalues(3), rtol=0.1)
+
+    @pytest.mark.parametrize("n", [4, 80], ids=["gram-side", "t-side"])
+    def test_identical_curves_are_degenerate(self, n):
+        grid = Grid.uniform(65)
+        sample = FunctionalSample(grid, np.tile(np.sin(2 * grid.points), (n, 1)))
+        eig = sample_eigensystem(sample, 3)
+        assert eig.d == 0
+        with pytest.raises(DegenerateDataError):
+            compute_scores(sample, eig, 1)
+
+    def test_in_place_rows_keep_the_out_of_place_bits(self, monkeypatch):
+        seen = []
+
+        def spy(grid, rows, divisor, d_max):
+            seen.append(rows.copy())
+            return eigendecompose(grid, rows, divisor, d_max)
+
+        monkeypatch.setattr(fpca, "eigendecompose", spy)
+        sample = generate_bm_sample(120, 90, seed=21)
+        sample_eigensystem(sample, 4)
+        assert seen[0].tobytes() == weighted_rows(sample).tobytes()
+
+
+def test_every_eigensystem_goes_through_eigendecompose(monkeypatch):
+    # The benchmark's traced runs time the ``fpca.eigendecompose`` span at
+    # every module that binds it; a rename must fail here first.
+    original = fpca.eigendecompose
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fdchange") and getattr(module, "eigendecompose", None) is original:
+            monkeypatch.setattr(module, "eigendecompose", counted)
+    sample_eigensystem(generate_bm_sample(20, 40, seed=1), 3)
+    sample_eigensystem(generate_bm_sample(60, 40, seed=2), 3)
+    pooled_eigensystem(generate_bm_sample(15, 40, seed=3), generate_bm_sample(10, 40, seed=4), 3)
+    pooled_eigensystem(generate_bm_sample(30, 40, seed=5), generate_bm_sample(20, 40, seed=6), 3)
+    assert calls == [(20, 41), (60, 41), (25, 41), (50, 41)]
 
 
 class TestComputeScores:
@@ -213,13 +316,13 @@ class TestVarianceExplained:
         assert fractions[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_accepts_eigensystem(self):
-        eig = eigendecompose(brownian_surface(201), 3)
+        eig = eigendecompose(*brownian_rows(201), 1, 3)
         assert np.allclose(
             variance_explained(eig), variance_explained(eig.eigenvalues)
         )
 
     def test_empty_spectrum_raises(self):
         grid = Grid.uniform(11)
-        eig = eigendecompose(CovarianceSurface(grid, np.zeros((11, 11))), 2)
+        eig = sample_eigensystem(FunctionalSample(grid, np.tile(grid.points, (3, 1))), 2)
         with pytest.raises(DegenerateDataError):
             variance_explained(eig)

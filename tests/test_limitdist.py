@@ -10,9 +10,9 @@ from scipy.integrate import quad
 from scipy.special import kolmogorov
 from scipy.stats import norm
 
-from fdchange.curves import CovarianceSurface, Grid
+from fdchange.curves import Grid
 from fdchange.errors import ConfigurationError, ResolutionError
-from fdchange.fpca import _keep_count, default_eigenvalue_floor, eigendecompose
+from fdchange.fpca import _keep_count, default_eigenvalue_floor
 from fdchange.limitdist import (
     _NYSTROM_TABLE,
     MAX_TRUNCATION,
@@ -26,7 +26,7 @@ from fdchange.limitdist import (
     wiener_eigenvalues,
 )
 
-from _references import simulate_gamma_functional
+from _references import kernel_spectrum, simulate_gamma_functional
 from conftest import WORKERS
 
 
@@ -50,26 +50,16 @@ class TestWienerEigenvalues:
         assert vals[-1] > 0
 
 
-def out_of_place_spectrum(points):
-    """Descending eigenvalues of the weighted kernel, built out of place."""
+def bridge_sq_spectrum(points):
+    """Descending eigenvalues of 2 (min(s,t) - st)^2 on a uniform grid."""
     grid = Grid.uniform(points)
     t = grid.points
-    kernel = 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2
-    w_half = np.sqrt(grid.weights)
-    b = w_half[:, None] * kernel * w_half[None, :]
-    return np.linalg.eigvalsh((b + b.T) / 2.0)[::-1]
-
-
-def kernel_surface(points):
-    """The kernel 2 (min(s,t) - st)^2 as a covariance surface on a uniform grid."""
-    grid = Grid.uniform(points)
-    t = grid.points
-    return CovarianceSurface(grid, 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2)
+    return kernel_spectrum(grid, 2.0 * (np.minimum.outer(t, t) - np.outer(t, t)) ** 2)
 
 
 class TestBridgeSquaredKernelEigenvalues:
     def test_full_spectrum_reproduces_trace(self):
-        vals = out_of_place_spectrum(NYSTROM_POINTS)
+        vals = bridge_sq_spectrum(NYSTROM_POINTS)
         nu = vals[: _keep_count(vals, NYSTROM_POINTS)]
         assert float(nu.sum()) == pytest.approx(1.0 / 15.0, abs=1e-4)
 
@@ -77,7 +67,7 @@ class TestBridgeSquaredKernelEigenvalues:
         nu1 = float(bridge_sq_kernel_eigenvalues(1)[0])
         assert 0.03 < nu1 < 1.0 / 15.0
         # Converged: refining the quadrature grid moves it by < 1e-6.
-        nu1_fine = float(out_of_place_spectrum(2 * NYSTROM_POINTS)[0])
+        nu1_fine = float(bridge_sq_spectrum(2 * NYSTROM_POINTS)[0])
         assert abs(nu1 - nu1_fine) < 1e-6
 
     def test_nonnegative_and_sorted(self):
@@ -85,16 +75,10 @@ class TestBridgeSquaredKernelEigenvalues:
         assert np.all(nu >= -1e-10)
         assert np.all(np.diff(nu) <= 0)
 
-    def test_eigenvalue_only_solve_matches_eigendecompose(self):
-        nu = bridge_sq_kernel_eigenvalues(49)
-        full = eigendecompose(kernel_surface(NYSTROM_POINTS), 49).eigenvalues
-        assert nu.shape == (49,)
-        assert np.allclose(nu, full, rtol=1e-12, atol=0.0)
-
     @pytest.mark.parametrize("count, points", [(49, 1000)])
     def test_one_buffer_build_matches_the_out_of_place_formula(self, count, points):
         # The table holds the bits of the out-of-place formula on the law's grid.
-        vals = out_of_place_spectrum(points)
+        vals = bridge_sq_spectrum(points)
         got = bridge_sq_kernel_eigenvalues(count)
         assert got.tobytes() == vals[: _keep_count(vals, count)].tobytes()
 
@@ -103,7 +87,7 @@ class TestNystromTable:
     """The law's eigenvalues come from ``_NYSTROM_TABLE``, not a solve."""
 
     def test_every_entry_matches_the_out_of_place_formula(self):
-        vals = out_of_place_spectrum(NYSTROM_POINTS)
+        vals = bridge_sq_spectrum(NYSTROM_POINTS)
         table = np.array(_NYSTROM_TABLE)
         np.testing.assert_allclose(table, vals[: table.size], rtol=1e-12, atol=0.0)
 

@@ -163,7 +163,7 @@ class TestRunSizePower:
 
     @pytest.mark.parametrize(
         "n, m, grid_size",
-        [(20, 25, 80), (40, 30, 50)],  # N + M <= T: Gram route; N + M > T: surface route
+        [(20, 25, 80), (40, 30, 50)],  # N + M <= T: the Gram side; N + M > T: the T x T side
     )
     def test_two_sample_replicates_match_public_test_function(self, n, m, grid_size):
         scenario = SimScenario(

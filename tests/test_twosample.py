@@ -1,4 +1,4 @@
-"""Pooled covariance and the projected mean-difference test."""
+"""Pooled eigensystem and the projected mean-difference test."""
 
 import math
 
@@ -6,73 +6,108 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from fdchange.curves import FunctionalSample, empirical_covariance
+from fdchange.curves import FunctionalSample
 from fdchange.errors import (
     ConfigurationError,
     DegenerateDataError,
     DimensionError,
     GridMismatchError,
 )
-from fdchange.fpca import eigendecompose
+from fdchange.fpca import eigendecompose, sample_eigensystem
+from fdchange.limitdist import wiener_eigenvalues
 from fdchange.simulation import generate_bm_sample, inject_shift
-from fdchange.twosample import pooled_covariance, pooled_eigensystem, two_sample_test
+from fdchange.twosample import pooled_eigensystem, two_sample_test
+
+from test_fpca import assert_same_eigensystem, other_side
 
 
-class TestPooledCovariance:
-    def test_constant_second_sample_contributes_nothing(self):
-        x = generate_bm_sample(10, 30, seed=1)
-        y = FunctionalSample(x.grid, np.tile(np.sin(x.grid.points), (7, 1)))
-        pooled = pooled_covariance(x, y)
-        assert np.allclose(pooled.values, empirical_covariance(x).values, atol=1e-15)
+def dense_pooled(x, y):
+    """Eigenpairs of W^{1/2} (c_N + (N/M) c*_M) W^{1/2} from numpy's biased
+    covariances, largest first, and the eigenfunctions they give."""
+    cov = np.cov(x.values, rowvar=False, bias=True)
+    cov += x.n_curves / y.n_curves * np.cov(y.values, rowvar=False, bias=True)
+    w_half = np.sqrt(x.grid.weights)
+    vals, vecs = np.linalg.eigh(w_half[:, None] * cov * w_half[None, :])
+    return vals[::-1], (vecs[:, ::-1] / w_half[:, None]).T
 
-    def test_identical_datasets_double_the_surface(self):
-        x = generate_bm_sample(12, 30, seed=2)
-        y = FunctionalSample(x.grid, x.values.copy())
-        pooled = pooled_covariance(x, y)
-        assert np.allclose(pooled.values, 2.0 * empirical_covariance(x).values, rtol=1e-12)
 
-    def test_ratio_weighting(self):
-        x = generate_bm_sample(20, 30, seed=3)
-        y = generate_bm_sample(5, 30, seed=4)
-        pooled = pooled_covariance(x, y)
-        expected = (
-            empirical_covariance(x).values + 4.0 * empirical_covariance(y).values
-        )
-        assert np.allclose(pooled.values, expected, rtol=1e-12)
-
-    def test_brownian_pooled_surface_near_doubled_kernel(self):
-        x = generate_bm_sample(2000, 80, seed=5)
-        y = generate_bm_sample(2000, 80, seed=6)
-        pooled = pooled_covariance(x, y)
-        t = x.grid.points
-        assert np.max(np.abs(pooled.values - 2.0 * np.minimum.outer(t, t))) < 0.2
-
-    def test_grid_mismatch(self):
-        with pytest.raises(GridMismatchError):
-            pooled_covariance(generate_bm_sample(5, 30, seed=7), generate_bm_sample(5, 31, seed=8))
+def stacked_rows(x, y):
+    """Rows R with R^T R = c_N + (N/M) c*_M, weighted, built out of place."""
+    w_half = np.sqrt(x.grid.weights)
+    n, m = x.n_curves, y.n_curves
+    xc = (x.values - x.values.mean(axis=0)) * w_half[None, :]
+    yc = (y.values - y.values.mean(axis=0)) * w_half[None, :]
+    return np.vstack([xc / np.sqrt(n), yc * (np.sqrt(n) / m)])
 
 
 class TestPooledEigensystem:
-    def test_gram_route_matches_dense_route(self):
-        # N + M < T exercises the stacked Gram solve; force the dense route
-        # through the public covariance and compare.
+    @pytest.mark.parametrize(
+        "n, m", [(30, 32), (32, 32), (33, 32)], ids=["n+m<t", "n+m=t", "n+m>t"]
+    )
+    def test_both_sides_agree(self, n, m):
+        x = generate_bm_sample(n, 63, seed=9)  # 64 grid points
+        y = generate_bm_sample(m, 63, seed=10)
+        eig = pooled_eigensystem(x, y, 4)
+        assert_same_eigensystem(eig, other_side(x.grid, stacked_rows(x, y), 1, 4))
+
+    def test_in_place_rows_keep_the_out_of_place_bits(self):
         x = generate_bm_sample(30, 150, seed=9)
         y = generate_bm_sample(20, 150, seed=10)
-        fast = pooled_eigensystem(x, y, 4)
-        dense = eigendecompose(pooled_covariance(x, y), 4)
-        assert np.allclose(fast.eigenvalues, dense.eigenvalues, rtol=1e-10)
-        assert np.allclose(fast.functions, dense.functions, atol=1e-7)
+        reference = eigendecompose(x.grid, stacked_rows(x, y), 1, 4)
+        eig = pooled_eigensystem(x, y, 4)
+        for name in ("eigenvalues", "functions", "spacings"):
+            assert getattr(eig, name).tobytes() == getattr(reference, name).tobytes()
 
-    def test_statistic_matches_dense_reference(self):
-        # two_sample_test takes the Gram route here (N + M = 55 <= T = 150);
-        # rebuild the statistic from the dense pooled eigendecomposition.
-        x = generate_bm_sample(30, 150, seed=11)
-        y = generate_bm_sample(25, 150, seed=12)
+    @pytest.mark.parametrize(
+        "n, m, t", [(20, 5, 30), (60, 15, 30)], ids=["gram-side", "t-side"]
+    )
+    def test_ratio_weighting_matches_the_dense_pooled_covariance(self, n, m, t):
+        x = generate_bm_sample(n, t, seed=3)
+        y = generate_bm_sample(m, t, seed=4)
+        eig = pooled_eigensystem(x, y, 4)
+        vals, functions = dense_pooled(x, y)
+        assert np.allclose(eig.eigenvalues, vals[:4], rtol=1e-10)
+        signs = np.sign(np.sum(eig.functions * functions[:4], axis=1))
+        assert np.allclose(eig.functions, signs[:, None] * functions[:4], atol=1e-7)
+
+    @pytest.mark.parametrize("n", [10, 40], ids=["gram-side", "t-side"])
+    def test_constant_second_sample_contributes_nothing(self, n):
+        x = generate_bm_sample(n, 30, seed=1)
+        y = FunctionalSample(x.grid, np.tile(np.sin(x.grid.points), (7, 1)))
+        assert_same_eigensystem(pooled_eigensystem(x, y, 4), sample_eigensystem(x, 4))
+
+    @pytest.mark.parametrize("n", [12, 40], ids=["gram-side", "t-side"])
+    def test_identical_datasets_double_the_eigenvalues(self, n):
+        x = generate_bm_sample(n, 30, seed=2)
+        pooled = pooled_eigensystem(x, FunctionalSample(x.grid, x.values.copy()), 4)
+        single = sample_eigensystem(x, 4)
+        assert np.allclose(pooled.eigenvalues, 2.0 * single.eigenvalues, rtol=1e-10)
+        assert np.allclose(pooled.functions, single.functions, atol=1e-7)
+
+    def test_brownian_pooled_eigenvalues_near_the_doubled_kernel(self):
+        x = generate_bm_sample(2000, 80, seed=5)
+        y = generate_bm_sample(2000, 80, seed=6)
+        eig = pooled_eigensystem(x, y, 3)
+        assert np.allclose(eig.eigenvalues, 2.0 * wiener_eigenvalues(3), rtol=0.1)
+
+    def test_grid_mismatch(self):
+        with pytest.raises(GridMismatchError):
+            pooled_eigensystem(
+                generate_bm_sample(5, 30, seed=7), generate_bm_sample(5, 31, seed=8), 2
+            )
+
+    @pytest.mark.parametrize(
+        "n, m, t", [(30, 25, 150), (90, 80, 150)], ids=["gram-side", "t-side"]
+    )
+    def test_statistic_matches_dense_reference(self, n, m, t):
+        # Rebuild the statistic from the dense pooled eigendecomposition.
+        x = generate_bm_sample(n, t, seed=11)
+        y = generate_bm_sample(m, t, seed=12)
         out = two_sample_test(x, y, 3)
-        eig = eigendecompose(pooled_covariance(x, y), 3)
+        vals, functions = dense_pooled(x, y)
         delta = x.values.mean(axis=0) - y.values.mean(axis=0)
-        proj = eig.functions[:3] @ (x.grid.weights * delta)
-        ref = x.n_curves * float(np.sum(proj**2 / eig.eigenvalues[:3]))
+        proj = functions[:3] @ (x.grid.weights * delta)
+        ref = x.n_curves * float(np.sum(proj**2 / vals[:3]))
         assert out.statistic == pytest.approx(ref, rel=1e-5)
 
 
