@@ -12,14 +12,18 @@ cell longer than ``csv.field_size_limit()``, are a ParseError that names the
 file. ``NA``, ``nan`` and blank cells are missing values; an infinite value or
 a number beyond the float range is a ParseError that names its line and column.
 
-The long layout is read by ``np.loadtxt``, ``BLOCK_RECORDS`` records at a
-time, into three flat columns (curve, t, value) sized once from the file's
-line count, with no Python object kept per observation. Curves whose records
-are contiguous are views of those columns; interleaved ones are grouped by
-one stable sort. A file the block reader cannot vouch for (a malformed or
-missing ``t``, an infinite value, a blank id, a wrong field count, a record
-over several lines, an over-long line) is read again one record at a time,
-which gives the same curves bit for bit or the ParseError.
+The long layout is read by ``np.loadtxt``, ``BLOCK_CHARS`` characters of
+whole lines at a time, into three flat columns (curve, t, value) sized once
+from the file's line count, with no Python object kept per observation.
+numpy's parser reads every cell, the exact value ``NA`` rewritten to ``nan``
+first; ids are numbered once per run of equal raw ids, and only a block with
+another missing spelling passes its value cells to Python. Curves whose
+records are contiguous are views of those columns; interleaved ones are
+grouped by one stable sort. A file the block reader cannot vouch for (a
+malformed or missing ``t``, an infinite value, a blank id or one of
+``ID_WIDTH`` characters or more, a wrong field count, a record over several
+lines, an over-long line) is read again one record at a time, which gives
+the same curves bit for bit or the ParseError.
 
 With smoothing enabled each curve is fit by least squares on the Fourier
 basis {1, sqrt(2) sin(2 pi k t), sqrt(2) cos(2 pi k t)} over t in [0, 1] and
@@ -46,8 +50,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +75,12 @@ MISSING_CELLS = ("", "na", "nan")
 #: Curves per batched least-squares solve; bounds the (block, K, K) Gram stack
 #: and the cleaned points, design and design rows built at a time.
 BLOCK_CURVES = 64
-#: Long-layout records per ``np.loadtxt`` call; bounds its (block, 3) table.
-BLOCK_RECORDS = 8192
+#: Characters per ``np.loadtxt`` call of the long layout, rounded up to a
+#: whole line; bounds the block's text and its (rows, 3) table.
+BLOCK_CHARS = 1 << 15
+#: Characters kept of a long-layout id by ``np.loadtxt``; a file with an id
+#: this long or longer is read one record at a time.
+ID_WIDTH = 16
 #: Largest Gershgorin bound on the condition number of a curve's Gram matrix
 #: X'X for which its normal equations are solved; the solve then agrees with
 #: least squares to about CONDITION_BOUND * eps relative.
@@ -267,24 +275,20 @@ def _read_long_records(path: str) -> tuple[list[str], list[np.ndarray], list[np.
     return curve_of.ids, [np.array(t) for t in ts], [np.array(v) for v in vs]
 
 
-#: Line-break bytes mapped to ``\n``, the separators 0x1c-0x1f to ``s``, and
-#: every other byte to ``x``. numpy's float parser strips those separators as
-#: whitespace (``str.isspace`` holds for them) where ``float`` rejects them.
+#: Line-break bytes mapped to ``\n``, NUL and the separators 0x1c-0x1f to
+#: ``s``, and every other byte to ``x``. numpy's float parser strips those
+#: separators as whitespace (``str.isspace`` holds for them) where ``float``
+#: rejects them, and numpy's strings drop a trailing NUL that csv keeps.
 _BREAKS = bytes(
-    10 if b in b"\r\n" else 115 if 0x1C <= b <= 0x1F else 120 for b in range(256)
+    10 if b in b"\r\n" else 115 if b == 0 or 0x1C <= b <= 0x1F else 120 for b in range(256)
 )
-
-
-#: numpy's warnings of a blank line not counted towards ``max_rows`` and of a
-#: read that found no rows.
-_NO_DATA_WARNING = r"(Input line \d+|loadtxt: input) contained no data"
 
 
 def _text_lines(path: str, limit: int) -> int | None:
     """The number of non-blank lines of ``path``, split at ``\n``, ``\r\n``
     and ``\r`` as Python's file iteration splits them; None when the file
-    holds a byte 0x1c-0x1f, or when a run of more than ``limit`` bytes holds
-    no line break.
+    holds a byte 0x00 or 0x1c-0x1f, or when a run of more than ``limit``
+    bytes holds no line break.
 
     Such a run may hold a cell over csv's field limit. Every run that long
     covers one whole aligned block of ``limit // 2 + 1`` bytes, so one
@@ -300,30 +304,66 @@ def _text_lines(path: str, limit: int) -> int | None:
             for start in range(1, len(marks) - block + 1, block):
                 if marks.find(b"\n", start, start + block) < 0:
                     return None
-            lines += marks.count(b"\nx")  # line starts that are not a break
+            # Line starts that are not a break: a "\n" then an "x", the one
+            # pair of marks that rises (10 < 120).
+            codes = np.frombuffer(marks, dtype=np.uint8)
+            lines += int(np.count_nonzero(codes[1:] > codes[:-1]))
             last = marks[-1:]
     return lines
 
 
-def _read_long_table(path: str):
-    """The long layout through ``np.loadtxt``, ``BLOCK_RECORDS`` records at a
-    time, into three flat columns sized once: curve, t and value.
+#: A record appended to every block of the table reader and dropped from its
+#: rows. Where a block edge cuts a record over several lines, numpy would
+#: close the record's open quoted cell at the edge and read both parts as
+#: records; this one lands inside that cell instead, which then fails to parse.
+_BLOCK_END = "\n_,0,0\n"
 
-    Column 0 goes through ``_CurveNumbers``, ``t`` through numpy's float
-    parser (which strips the whitespace ``str.strip`` strips and reads the
-    rest as ``float`` does), and value cells through ``_value_cell``, so ids
-    and bits match ``_read_long_records`` and no Python object per cell is
-    kept. Returns None for a file whose verdict belongs to
-    ``_read_long_records``: one ``loadtxt`` or a converter rejects (a field
-    count other than 3, a cell such as ``1_0`` or ``NA`` in ``t``, an id that
-    is blank once stripped, bytes that are not UTF-8), a byte 0x1c-0x1f
-    (numpy's parser would strip it from ``t`` as whitespace, where ``float``
-    rejects it), a non-finite ``t``, an infinite value, a header that is not
-    one 3-field line, a line longer than csv's field limit, or a record over
-    several lines (each may be short while one of its cells is over that
-    limit). The last two show as fewer records than non-blank lines after
-    the header, as a record over several lines has at least two that are not
-    blank.
+
+def _parse_block(text: str) -> np.ndarray:
+    """The records of ``text`` as rows (raw id, t, value), ``_BLOCK_END``'s
+    row included, through numpy's parser, with the exact cell ``NA`` before
+    a line break read as nan. A block that parser rejects (a value cell such
+    as ``na``, `` NA ``, a blank or ``1_0``, or any fault) is parsed again
+    with its value cells through ``_value_cell``; a ValueError from that
+    parse leaves the file to ``_read_long_records``."""
+    text = text.replace(",NA\n", ",nan\n")
+    if "\r" in text:  # a scan for one character costs far less than a replace
+        text = text.replace(",NA\r", ",nan\r")
+    options = dict(
+        dtype=[("id", f"U{ID_WIDTH}"), ("t", "f8"), ("v", "f8")],
+        delimiter=",", quotechar='"', comments=None, ndmin=1,
+    )
+    try:
+        return np.loadtxt(io.StringIO(text, newline=""), **options)
+    except ValueError:
+        return np.loadtxt(
+            io.StringIO(text, newline=""), converters={2: _value_cell}, **options
+        )
+
+
+def _read_long_table(path: str):
+    """The long layout through ``np.loadtxt``, one block of about
+    ``BLOCK_CHARS`` characters of whole lines at a time, into three flat
+    columns sized once: curve, t and value.
+
+    numpy's parser reads every cell: ``t`` and values as ``float`` does
+    (it strips the whitespace ``str.strip`` strips), ids as raw strings of
+    at most ``ID_WIDTH`` characters. Only the first id of each run of equal
+    raw ids goes through ``_CurveNumbers``, and only a block with a value
+    cell numpy rejects goes through ``_value_cell`` (see ``_parse_block``),
+    so ids and bits match ``_read_long_records`` and no Python object per
+    cell is kept. Returns None for a file whose verdict belongs to
+    ``_read_long_records``: a block that both parses reject (a field count
+    other than 3, a cell such as ``1_0`` or ``NA`` in ``t``, bytes that are
+    not UTF-8), an id that is blank once stripped or that fills
+    ``ID_WIDTH`` (numpy would cut a longer one), a byte 0x00 or 0x1c-0x1f
+    (numpy would drop a trailing NUL from an id, or strip a separator from
+    ``t`` as whitespace, where csv and ``float`` keep them), a non-finite
+    ``t``, an infinite value, a header that is not one 3-field line, a line
+    longer than csv's field limit, or a record over several lines (each may
+    be short while one of its cells is over that limit). The last two show
+    as fewer records than non-blank lines after the header, as a record
+    over several lines has at least two that are not blank.
 
     Curves whose records are contiguous come back as views of the columns;
     interleaved ones are grouped by one stable sort.
@@ -336,32 +376,36 @@ def _read_long_table(path: str):
     curve = np.empty(records, dtype=np.intp)
     t = np.empty(records)
     v = np.empty(records)
+    filled = 0
     try:
-        with open(path, newline="", encoding=ENCODING) as fh, warnings.catch_warnings():
-            # ``max_rows`` skips blank lines with a warning, and a block past
-            # the last record warns of no data; the count below judges both.
-            warnings.filterwarnings("ignore", _NO_DATA_WARNING, UserWarning)
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            # A header over several lines shows in the count below too, but
-            # ``loadtxt`` would first see no data if it were all the file.
-            if header is None or len(header) != 3 or reader.line_num != 1:
+        with open(path, newline="", encoding=ENCODING) as fh:
+            header = next(csv.reader(fh), None)  # over several lines: the count below
+            if header is None or len(header) != 3:
                 return None
-            for start in range(0, records, BLOCK_RECORDS):
-                stop = min(start + BLOCK_RECORDS, records)
-                block = np.loadtxt(
-                    fh, delimiter=",", quotechar='"', comments=None, encoding=ENCODING,
-                    ndmin=2, max_rows=stop - start,
-                    converters={0: curve_of.__getitem__, 2: _value_cell},
-                )
-                if block.shape != (stop - start, 3):
+            while text := fh.read(BLOCK_CHARS):
+                # Whole lines, then _BLOCK_END, whose row is dropped.
+                rows = _parse_block("".join((text, fh.readline(), _BLOCK_END)))[:-1]
+                stop = filled + rows.size
+                if stop > records:
                     return None
-                if not np.isfinite(block[:, 1]).all() or np.isinf(block[:, 2]).any():
+                # numpy may have cut an id that fills its field, the row's
+                # first ID_WIDTH code points: its last one is not NUL.
+                if rows.view(np.uint32).reshape(-1, rows.itemsize // 4)[:, ID_WIDTH - 1].any():
                     return None
-                curve[start:stop] = block[:, 0]
-                t[start:stop] = block[:, 1]
-                v[start:stop] = block[:, 2]
+                if not np.isfinite(rows["t"]).all() or np.isinf(rows["v"]).any():
+                    return None
+                ids = rows["id"]
+                first = np.ones(rows.size, dtype=bool)  # where a run of raw ids starts
+                first[1:] = ids[1:] != ids[:-1]
+                starts = np.flatnonzero(first)
+                numbers = [curve_of[raw] for raw in ids[starts].tolist()]
+                curve[filled:stop] = np.repeat(numbers, np.diff(starts, append=rows.size))
+                t[filled:stop] = rows["t"]
+                v[filled:stop] = rows["v"]
+                filled = stop
     except (ValueError, csv.Error):
+        return None
+    if filled != records:
         return None
     bounds = np.cumsum(np.bincount(curve, minlength=len(curve_of.ids)))[:-1]
     if (curve[1:] < curve[:-1]).any():  # interleaved ids
@@ -391,16 +435,11 @@ def _rescale_times(path: str, lo: float, hi: float) -> tuple[float, float]:
     return lo, hi - lo
 
 
-def _usable(
-    path: str, label: str, t: np.ndarray, v: np.ndarray, config: IngestionConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """A curve's points and values without its missing values, which are a
-    ParseError under ``missing="fail"``."""
+def _usable(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A curve's points and values without its missing values."""
     missing = np.isnan(v)
     if not missing.any():
         return t, v
-    if config.missing == "fail":
-        raise ParseError(f"{path}: curve {label}: missing values present")
     return t[~missing], v[~missing]
 
 
@@ -458,10 +497,20 @@ def _smooth(
     lo, hi = math.inf, -math.inf
     counts = []
     for label, t, v in zip(labels, ts, vs):
-        t, _ = _usable(path, label, t, v, config)
-        counts.append(t.size)
-        if t.size:
-            lo, hi = min(lo, float(t.min())), max(hi, float(t.max()))
+        usable = ~np.isnan(v)
+        count = np.count_nonzero(usable)
+        if count < t.size and config.missing == "fail":
+            raise ParseError(f"{path}: curve {label}: missing values present")
+        counts.append(count)
+        if count:
+            low = t.min(where=usable, initial=math.inf)
+            if low == 0:
+                # where= may settle a tie of 0.0 and -0.0 the other way than
+                # a min over the usable points alone; the sign reaches the
+                # offset below, so only then are those points gathered.
+                low = t[usable].min()
+            high = t.max(where=usable, initial=-math.inf)
+            lo, hi = min(lo, float(low)), max(hi, float(high))
     offset, span = _rescale_times(path, lo, hi)
     for label, count in zip(labels, counts):
         if count < size:
@@ -477,10 +526,7 @@ def _smooth(
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         for start in range(0, len(ts), BLOCK_CURVES):
             block = slice(start, start + BLOCK_CURVES)
-            cleaned = [
-                _usable(path, label, t, v, config)
-                for label, t, v in zip(labels[block], ts[block], vs[block])
-            ]
+            cleaned = [_usable(t, v) for t, v in zip(ts[block], vs[block])]
             block_t = [(t - offset) / span for t, _ in cleaned]
             block_v = [v for _, v in cleaned]
             # One design on the block's distinct points, told apart by bit

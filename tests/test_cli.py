@@ -623,6 +623,21 @@ class TestExitCodes:
         )
         assert code == 4 and "workers" in err
 
+    def test_workers_rule_of_simulate_and_the_normal_limit_methods(self, capsys, cli_files):
+        # simulate is a randomized command for every --test, so it refuses
+        # --workers 0 though only cvm2d draws a law; the normal-limit
+        # cpt-test methods draw nothing and ignore --workers.
+        code, out, err = run_cli(
+            capsys, "simulate", "--test", "cvm-sum", "--n", "20", "--reps", "5",
+            "--workers", "0",
+        )
+        assert (code, out) == (4, "") and "--workers must be >= 1, got 0" in err
+        code, out, err = run_cli(
+            capsys, "cpt-test", str(cli_files / "x.csv"), *RAW, "--method", "cvm-sum",
+            "--workers", "0",
+        )
+        assert code == 0 and err == "" and out
+
     def test_unwritable_out_is_exit_4(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "critical-values", "--reps", "200", "--seed", "1",

@@ -692,6 +692,8 @@ QUOTED_SPACED_INTERLEAVED = [
 ODD_BODIES = {
     "underscore-t": "c0,1_0,1\n",  # float reads it, numpy's parser does not
     "two-line-id": 'c0,0,1\n"c\n1",0,1\n',  # a record over two lines
+    # Five fields over two lines, each line three fields of its own.
+    "two-line-value": 'c0,0,1\nc1,0,"1\n2",0,3\n',
     "arabic-digit": "c0,0,1\r\nc2,0,2\rc1,\u0661,1\n",  # a digit numpy does not read
     "na-t": "c0,0,1\nc1,NA,1\n",
     "inf-t": "c0,0,1\nc1,inf,1\n",
@@ -747,13 +749,14 @@ class TestLongLayoutReaders:
 
 
 class TestLongTableBlockEdges:
-    """The table reads ``BLOCK_RECORDS`` records per ``np.loadtxt`` call. With
-    blocks of 2 and 3 records every file below crosses block edges, and each
+    """The table reads ``BLOCK_CHARS`` characters, rounded up to a whole line,
+    per ``np.loadtxt`` call. With blocks of 1 character (one line each) and
+    16 (one or two records) every file below crosses block edges, and each
     must give the per-row reader's bytes or its ParseError, with no warning."""
 
-    @pytest.fixture(autouse=True, params=[2, 3], ids=["block2", "block3"])
+    @pytest.fixture(autouse=True, params=[1, 16], ids=["chars1", "chars16"])
     def small_blocks(self, request, monkeypatch):
-        monkeypatch.setattr(INGEST, "BLOCK_RECORDS", request.param)
+        monkeypatch.setattr(INGEST, "BLOCK_CHARS", request.param)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             yield
@@ -797,21 +800,50 @@ class TestLongTableBlockEdges:
         assert read_outcome(_read_long_layout, path) == read_outcome(_read_long_records, path)
 
 
+def write_record(path, end="\n"):
+    """600 long-layout curves x 365 days with 1% ``NA`` cells, lines ending
+    in ``end``: 1.75 MB of points and as much of values."""
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((600, 365))
+    missing = rng.random(values.shape) < 0.01
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("curve_id,t,value" + end)
+        for i, (row, gaps) in enumerate(zip(values, missing)):
+            for day, (v, gap) in enumerate(zip(row.tolist(), gaps.tolist()), start=1):
+                fh.write(f"c{i:04d},{day},{'NA' if gap else repr(v)}{end}")
+
+
+class TestLongTableFastPath:
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_na_cells_need_no_per_cell_parser(self, tmp_path, monkeypatch, end):
+        # A block that falls back to ``_value_cell`` reads the same bits,
+        # only slower; this pins that exact NA cells keep numpy's parser.
+        path = tmp_path / "record.csv"
+        write_record(path, end)
+        calls = []
+
+        def counted(cell):
+            calls.append(cell)
+            return value_cell(cell)
+
+        value_cell = INGEST._value_cell
+        monkeypatch.setattr(INGEST, "_value_cell", counted)
+        table = _read_long_table(str(path))
+        assert table is not None
+        assert calls == []
+        ids, ts, vs = table
+        assert len(ids) == 600 and {t.size for t in ts} == {365}
+        assert sum(int(np.isnan(v).sum()) for v in vs) == path.read_text().count(",NA")
+
+
 class TestIngestMemory:
     def test_long_file_traced_peak(self, tmp_path):
-        # 600 curves x 365 days with 1% NA cells: 1.75 MB of points and as
-        # much of values. The reader sizes its columns once and smoothing
-        # cleans and fits a block of curves at a time; an (n, 3) table and
-        # pooled copies of every point took the peak to about 12.5 MB.
-        rng = np.random.default_rng(11)
-        values = rng.standard_normal((600, 365))
-        missing = rng.random(values.shape) < 0.01
+        # The reader sizes its columns once and smoothing cleans and fits a
+        # block of curves at a time; an (n, 3) table and pooled copies of
+        # every point took the peak to about 12.5 MB.
         path = tmp_path / "record.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("curve_id,t,value\n")
-            for i, (row, gaps) in enumerate(zip(values, missing)):
-                for day, (v, gap) in enumerate(zip(row.tolist(), gaps.tolist()), start=1):
-                    fh.write(f"c{i:04d},{day},{'NA' if gap else repr(v)}\n")
+        write_record(path)
+        assert _read_long_table(str(path)) is not None  # not the per-row reader
         config = IngestionConfig(layout="long")
         ingest(str(path), config)  # first-call allocations stay out
         tracemalloc.start()

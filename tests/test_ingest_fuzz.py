@@ -138,10 +138,18 @@ def assert_documented_exit(layout, data, basis, missing):
 
 LIMIT = csv.field_size_limit()
 MISSING = ["NA", "na", " NA ", "nan", "NaN", " nan\t", "", "  "]
-GOOD_IDS = ["c1", " c1", "c1 ", "c2", '"c,2"', '" c1"', '"c""4"', 'c"5']
-GOOD = st.tuples(
-    st.sampled_from(GOOD_IDS), NUMBERS, st.one_of(NUMBERS, st.sampled_from(MISSING)),
-).map(",".join)
+#: Ids of the table's id width less one, equal and one more: numpy keeps the
+#: first whole and cuts the others, which go to the per-row reader.
+WIDE_IDS = ["w" * (INGEST.ID_WIDTH + k) for k in (-1, 0, 1)]
+GOOD_IDS = [
+    "c1", " c1", "c1 ", "c2", '"c,2"', '" c1"', '"c""4"', 'c"5', "é1", "曲1", "c 1", *WIDE_IDS,
+]
+VALUES = st.one_of(NUMBERS, st.sampled_from(MISSING))
+GOOD = st.tuples(st.sampled_from(GOOD_IDS), NUMBERS, VALUES).map(",".join)
+#: Adjacent records of one curve whose raw ids differ in surrounding spaces.
+RESPACED = st.tuples(
+    st.sampled_from([" c1", "c1 ", '" c1"']), NUMBERS, VALUES, NUMBERS, VALUES,
+).map(lambda r: f"{r[0]},{r[1]},{r[2]}\nc1,{r[3]},{r[4]}")
 ODD = st.sampled_from(["1_0", "inf", "-Infinity", "1e999", "abc", "\x1c0.5", "-nan", '"0.25"'])
 #: Records the per-row reader may reject, or that only it reads, one fault each.
 FAULTS = st.one_of(
@@ -171,7 +179,7 @@ def long_texts(draw):
     """Long-layout text with quoted and spaced ids, interleaved curves, every
     missing spelling, mixed line ends and blank lines; half the texts carry up
     to two faults, among them 2- and 4-field records and over-limit cells."""
-    records = draw(st.lists(st.one_of(GOOD, st.just("")), max_size=20))
+    records = draw(st.lists(st.one_of(GOOD, RESPACED, st.just("")), max_size=20))
     if draw(st.booleans()):
         for fault in draw(st.lists(FAULTS, min_size=1, max_size=2)):
             records.insert(draw(st.integers(0, len(records))), fault)
@@ -200,18 +208,27 @@ def assert_readers_agree(text):
             assert long_outcome(_read_long_layout, path) == long_outcome(_read_long_records, path)
 
 
+#: A CR-only file with NA cells, the last one at the end of the file.
+CR_ONLY_NA = "curve_id,t,value\rc1,0,NA\rc1,0.5,1\r c1,1,2\rc2,0,NA\rc2,1,NA"
+
+
 @FUZZ
 @given(text=long_texts())
 @example(text='"curve\nid",t,value\n')  # a header over two lines and nothing else
 @example(text="curve_id,t,value\nc1,\x1c0.5,0.0")  # numpy strips 0x1c, float does not
+@example(text="curve_id,t,value\nc1\x00,0.5,0.0\nc1,0,1\n")  # numpy drops a trailing NUL
+@example(text=CR_ONLY_NA)
 def test_table_reader_agrees_with_per_row_reader(text):
     assert_readers_agree(text)
 
 
 @FUZZ
-@given(text=long_texts(), block=st.sampled_from([2, 3]))
+@given(text=long_texts(), block=st.sampled_from([1, 16]))
+@example(text=CR_ONLY_NA, block=1)
+@example(text='curve_id,t,value\nc1,0,"1\n2",0,3\n', block=1)  # one record, two lines
 def test_table_reader_agrees_across_block_edges(text, block):
-    # Blocks of 2 or 3 records put blank lines, faults and records over
-    # several lines at and across the edges of the table's loadtxt calls.
-    with mock.patch.object(INGEST, "BLOCK_RECORDS", block):
+    # Blocks of 1 or 16 characters (one line, or one or two records) put
+    # blank lines, faults and records over several lines at and across the
+    # edges of the table's loadtxt calls.
+    with mock.patch.object(INGEST, "BLOCK_CHARS", block):
         assert_readers_agree(text)
