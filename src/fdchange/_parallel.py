@@ -9,9 +9,10 @@ count or scheduling order.
 With one worker the chunks run in threads on the process's cores: the
 calling thread and one started thread per further core take chunks in turn.
 That pays only because a caller's worker spends most of its time without the
-GIL, as ``_tld_chunk`` does inside numpy's normal fill; a worker that holds
-the GIL would run its chunks one after another, only slower. With one core
-it is a single ``worker(0, total)`` call.
+GIL, as ``_tld_chunk`` does inside numpy's normal fill, one call per
+replicate, and its arithmetic, one call per block of replicates; a worker
+that holds the GIL would run its chunks one after another, only slower.
+With one core it is a single ``worker(0, total)`` call.
 
 With more workers the chunks go to that many forked processes, each running
 its chunks one after another. Fan out only loops that make no sizable BLAS

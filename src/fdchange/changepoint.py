@@ -361,7 +361,7 @@ def binary_segmentation(
             return SegmentNode(lo, hi, "degenerate", {})
         cusum = cusum_matrix(compute_scores(segment, eig, max(usable)))
         stats = _statistics(cusum.values, "cvm2d", usable)
-        p_values = {d: law.p_value(float(s)) for d, s in zip(usable, stats)}
+        p_values = dict(zip(usable, law.p_value(stats).tolist()))
         rejecting = [d for d in usable if p_values[d] < alpha]
         if not rejecting:
             return SegmentNode(lo, hi, "retained", p_values)

@@ -9,6 +9,11 @@ Replicate r draws from its own ``(seed, r)`` stream and the replicates run
 through ``fdchange._parallel.run_replicates``, so the draws are the same for
 any worker count.
 
+``tld_chunk_per_draw`` is the series sampler's draw one replicate at a
+time: fill, square and weigh each replicate's normals on their own.
+``limitdist._tld_chunk`` does the arithmetic a block of replicates at a
+time and must give the same bits.
+
 ``kernel_spectrum`` is the eigenvalue-only solve of a kernel's Nystrom
 discretization, built out of place: the matrix W^{1/2} K W^{1/2},
 symmetrized, whose eigenvalues are those of the integral operator with
@@ -34,6 +39,19 @@ def kernel_spectrum(grid, kernel: np.ndarray) -> np.ndarray:
     w_half = np.sqrt(grid.weights)
     b = w_half[:, None] * kernel * w_half[None, :]
     return np.linalg.eigvalsh((b + b.T) / 2.0)[::-1]
+
+
+def tld_chunk_per_draw(
+    seed: int, lam: np.ndarray, nu: np.ndarray, start: int, stop: int
+) -> np.ndarray:
+    """Draws ``start`` to ``stop - 1`` of the truncated double series, one by one."""
+    out = np.empty(stop - start)
+    g = np.empty((lam.size, nu.size))
+    for i, rng in enumerate(replicate_rngs(seed, start, stop)):
+        rng.standard_normal(out=g)
+        np.multiply(g, g, out=g)
+        out[i] = lam @ g @ nu
+    return out
 
 
 def _gamma_chunk(

@@ -11,8 +11,8 @@ from fdchange.limitdist import simulate_tld
 #: Worker count for the limit-law draws (``simulate_tld``) and the Gaussian-sheet
 #: sampler of ``_references``, the only loops the tests fan out. Their draws
 #: make almost no BLAS calls, so they fork well: ``critical-values`` took
-#: 2.6-3.4 s with two workers against 3.0-4.2 s with one, which runs its
-#: chunks in threads, on two cores; two also keeps the forked path exercised.
+#: 2.76-3.47 s with two workers against 2.78-3.30 s with one, which runs its
+#: chunks in threads, on two cores; two keeps the forked path exercised.
 #: Loops with an eigensolve per replicate run in one process (a forked worker
 #: keeps numpy's whole BLAS thread pool); ``run_size_power`` always does. The
 #: draws are the same for any worker count.

@@ -24,6 +24,7 @@ from fdchange._rng import replicate_rng
 from fdchange.curves import FunctionalSample, Grid
 from fdchange.errors import ConfigurationError
 from fdchange.fpca import compute_scores, sample_eigensystem
+from fdchange.limitdist import LimitLaw
 from fdchange.simulation import _bm_values, generate_bm_sample, inject_shift
 
 from _datasets import MULTI_CHANGE_AFTER, multi_change_sample
@@ -316,6 +317,26 @@ class TestBinarySegmentation:
     def test_rank_below_every_d_is_degenerate(self, law20k):
         tree = binary_segmentation(self._rank_sample(1), (2, 3), alpha=0.05, law=law20k)
         assert tree.root.status == "degenerate" and tree.root.p_values == {}
+
+    def test_one_p_value_call_per_node_gives_the_scalar_calls(self, law20k):
+        calls = []
+
+        class Recording(LimitLaw):
+            def p_value(self, statistic):
+                calls.append(np.array(statistic, dtype=float))
+                return super().p_value(statistic)
+
+        law = Recording(law20k.truncation, law20k.samples, law20k.seed)
+        tree = binary_segmentation(multi_change_sample(), (3, 5, 7), alpha=0.01, law=law)
+        # Nodes are examined in preorder, each tested one with a single call.
+        tested = [node for node in tree.nodes() if node.p_values]
+        assert len(tested) == len(calls) > 1
+        assert any(len(node.p_values) > 1 for node in tested)
+        for node, stats in zip(tested, calls):
+            assert stats.shape == (len(node.p_values),)
+            scalar = [law20k.p_value(float(s)) for s in stats]
+            assert list(node.p_values.values()) == scalar
+            assert all(type(p) is float for p in node.p_values.values())
 
     def test_validation(self, law20k):
         sample = generate_bm_sample(20, 50, seed=23)

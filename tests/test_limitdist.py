@@ -2,6 +2,7 @@
 the normal-limit p-value."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,9 @@ from scipy.stats import norm
 from fdchange.curves import Grid
 from fdchange.errors import ConfigurationError, ResolutionError
 from fdchange.fpca import _keep_count, default_eigenvalue_floor
+from fdchange import limitdist
 from fdchange.limitdist import (
+    _BLOCK_BYTES,
     _NYSTROM_TABLE,
     MAX_TRUNCATION,
     MIN_REPS,
@@ -26,7 +29,7 @@ from fdchange.limitdist import (
     wiener_eigenvalues,
 )
 
-from _references import kernel_spectrum, simulate_gamma_functional
+from _references import kernel_spectrum, simulate_gamma_functional, tld_chunk_per_draw
 from conftest import WORKERS
 
 
@@ -200,6 +203,61 @@ class TestSimulateTld:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+    def test_truncation_250_law_traced_peak(self, monkeypatch):
+        # At K = 250 one draw's normals take 500 KB, so a block holds one
+        # draw. The bound is the one-draw loop's peak (1016636 bytes with two
+        # threads) plus 10%; a block that grew with K would break it.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        simulate_tld(250, reps=200)
+        tracemalloc.start()
+        try:
+            simulate_tld(250, reps=200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 1_016_636
+
+
+def _span_lengths(k):
+    """Chunk lengths around the byte-bound block length b at truncation ``k``:
+    1, b - 1, b, b + 1, 3b + 2 and 4b + 1, up to 40000 draws."""
+    b = max(1, _BLOCK_BYTES // (8 * k * k))
+    return sorted(n for n in {1, b - 1, b, b + 1, 3 * b + 2, 4 * b + 1} if 0 < n <= 40_000)
+
+
+class TestTldChunk:
+    """The blocked draw against the one-draw loop of ``_references``, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "k, length", [(k, n) for k in (1, 2, 49, 250) for n in _span_lengths(k)]
+    )
+    @pytest.mark.parametrize("start", [0, 12_345])
+    def test_span_matches_the_per_draw_loop(self, k, length, start):
+        lam, nu = wiener_eigenvalues(k), bridge_sq_kernel_eigenvalues(k)
+        got = limitdist._tld_chunk(3, lam, nu, start, start + length)
+        want = tld_chunk_per_draw(3, lam, nu, start, start + length)
+        assert got.tobytes() == want.tobytes()
+
+    def test_calls_share_no_block(self, monkeypatch):
+        # A call that runs while another is between fills, as a thread's
+        # would, must leave the other's block alone.
+        lam, nu = wiener_eigenvalues(49), bridge_sq_kernel_eigenvalues(49)
+        streams = limitdist.replicate_rngs
+        inner = []
+
+        def interleaved(seed, start, stop):
+            for r, rng in enumerate(streams(seed, start, stop), start):
+                yield rng
+                if seed == 5 and r == start + 2:
+                    inner.append(limitdist._tld_chunk(6, lam, nu, 0, 70))
+
+        monkeypatch.setattr(limitdist, "replicate_rngs", interleaved)
+        outer = limitdist._tld_chunk(5, lam, nu, 0, 70)
+        assert len(inner) == 1
+        assert outer.tobytes() == tld_chunk_per_draw(5, lam, nu, 0, 70).tobytes()
+        assert inner[0].tobytes() == tld_chunk_per_draw(6, lam, nu, 0, 70).tobytes()
 
 
 class TestGammaRepresentation:

@@ -19,6 +19,8 @@ from fdchange.limitdist import (
     wiener_eigenvalues,
 )
 
+from _references import tld_chunk_per_draw
+
 #: The thread class before a spy replaces it, for threads the test starts.
 _THREAD = threading.Thread
 
@@ -129,14 +131,38 @@ def test_chunk_exception_propagates_with_its_type(monkeypatch, bad):
 
 def test_one_worker_law_is_one_chunk_call(monkeypatch):
     # Whatever the core count, the threaded draw is the sorted output of
-    # one _tld_chunk call over every replicate.
+    # the one-draw loop over every replicate.
     _set_cores(monkeypatch, 3)
     lam, nu = wiener_eigenvalues(9), bridge_sq_kernel_eigenvalues(9)
     law = simulate_tld(truncation=9, reps=1000, seed=41, workers=1)
-    direct = _tld_chunk(41, lam, nu, 0, 1000)
+    direct = tld_chunk_per_draw(41, lam, nu, 0, 1000)
     assert law.samples.tobytes() == np.sort(direct).tobytes()
     chunked = _parallel.run_replicates(partial(_tld_chunk, 41, lam, nu), 1000)
     assert chunked.tobytes() == direct.tobytes()
+
+
+@pytest.mark.parametrize("cores", [3, 8])
+@pytest.mark.parametrize("k, total", [(2, 1001), (49, 1001), (49, 4097), (250, 101)])
+def test_threaded_blocks_match_the_per_draw_loop(monkeypatch, cores, k, total):
+    # The chunks of 3 or 8 threads end inside a block; with threads switching
+    # every microsecond, a block shared between calls would show in the bytes.
+    _set_cores(monkeypatch, cores)
+    lam, nu = wiener_eigenvalues(k), bridge_sq_kernel_eigenvalues(k)
+    result = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = _THREAD(
+            target=lambda: result.update(
+                out=_parallel.run_replicates(partial(_tld_chunk, 8, lam, nu), total)
+            )
+        )
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert result["out"].tobytes() == tld_chunk_per_draw(8, lam, nu, 0, total).tobytes()
 
 
 @pytest.mark.parametrize("total, workers", [(0, 1), (10, 0)])
