@@ -55,10 +55,6 @@ from .simulation import (
     inject_shift,
     run_size_power,
 )
-from .twosample import (
-    TwoSampleOutcome,
-    pooled_eigensystem,
-    two_sample_test,
-)
+from .twosample import pooled_eigensystem, two_sample_test
 
 __version__ = "0.1.0"

@@ -12,18 +12,23 @@ The integrated squared process is compared against the simulated limit law;
 three companion statistics with standard normal limits and an argmax
 change-point estimator share the same bridge arrays. ``_statistics`` turns a
 method name and a list of d into statistics for every caller.
+
+Every statistic and the estimator read the CUSUM only through the bridges
+``S_j(k) - (k/N) S_j(N)``, which a constant added to a score column does not
+move. So a ``CusumMatrix`` must start at zero but need not end there: the
+rounding left in the centering of offset data changes nothing downstream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .curves import FunctionalSample
+from .curves import FunctionalSample, _frozen
 from .errors import ConfigurationError, DegenerateDataError
 from .fpca import EigenSystem, ScoreMatrix, compute_scores, sample_eigensystem
-from .limitdist import LimitLaw, bridge_sup_moments, normal_p_value
+from .limitdist import LimitLaw, _check_alpha, bridge_sup_moments, normal_p_value
 
 __all__ = [
     "CusumMatrix",
@@ -52,15 +57,12 @@ class CusumMatrix:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
+        v = _frozen(self.values)
         object.__setattr__(self, "values", v)
         if v.ndim != 2 or v.shape[1] < 2:
             raise ValueError("cusum values must be d x (N+1)")
         if np.any(v[:, 0] != 0.0):
             raise ValueError("cusum must start at zero")
-        if float(np.max(np.abs(v[:, -1]))) > 1e-8:
-            raise ValueError("cusum must return to zero at k = N (scores are centered)")
 
     @property
     def d(self) -> int:
@@ -121,13 +123,17 @@ def _estimator_curve(braces: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Result of one hypothesis test."""
+    """Result of one hypothesis test: a change-point test or ``two-sample``.
+
+    It is the one place that checks a p-value lies in [0, 1].
+    """
 
     method: str
     statistic: float
     p_value: float
     d: int
     diagnostics: dict
+    z_score: float | None = None  # set by the two-sample test only
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_value <= 1.0:
@@ -293,24 +299,15 @@ class SegmentationTree:
         return out
 
     def to_dict(self) -> dict:
-        def encode(node: SegmentNode) -> dict:
-            return {
-                "lo": node.lo,
-                "hi": node.hi,
-                "status": node.status,
-                "p_values": {str(d): p for d, p in node.p_values.items()},
-                "change_after": node.change_after,
-                "split_d": node.split_d,
-                "children": [encode(c) for c in node.children],
-            }
-
+        """The tree as plain containers; ``json`` writes the int keys of
+        ``p_values`` as strings and the children tuples as lists."""
         return {
             "n": self.n,
             "d_list": list(self.d_list),
             "alpha": self.alpha,
             "min_segment": self.min_segment,
             "change_points": self.change_points(),
-            "root": encode(self.root),
+            "root": asdict(self.root),
         }
 
 
@@ -323,8 +320,7 @@ def _segmentation_d_list(
     if not d_tuple:
         raise ConfigurationError("d_list must not be empty")
     _require_cvm2d_d(d_tuple, name)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if min_segment < 8:
         raise ConfigurationError(f"min_segment must be >= 8, got {min_segment}")
     return d_tuple

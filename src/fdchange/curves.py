@@ -23,6 +23,7 @@ GRID_EQ_TOL = 1e-14
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only float64 array: the one way results freeze their arrays."""
     out = np.asarray(a, dtype=float)
     out.setflags(write=False)
     return out

@@ -34,6 +34,7 @@ import numpy as np
 
 from ._parallel import run_replicates
 from ._rng import _seed_sequence, replicate_rngs
+from .curves import _frozen
 from .errors import ConfigurationError, ResolutionError
 
 __all__ = [
@@ -88,9 +89,10 @@ def bridge_sq_kernel_eigenvalues(count: int) -> np.ndarray:
     return np.array(_NYSTROM_TABLE[:count])
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _check_alpha(alpha: float) -> None:
+    """Refuse a test level outside (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +104,7 @@ class LimitLaw:
     seed: int
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float)
-        samples.setflags(write=False)
+        samples = _frozen(self.samples)
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or np.any(np.diff(samples) < 0):
             raise ValueError("samples must be a sorted 1-d array, one per replicate")
@@ -114,16 +115,15 @@ class LimitLaw:
 
     @property
     def wiener_eigs(self) -> np.ndarray:
-        return _read_only(wiener_eigenvalues(self.truncation))
+        return _frozen(wiener_eigenvalues(self.truncation))
 
     @property
     def bridge_sq_eigs(self) -> np.ndarray:
-        return _read_only(bridge_sq_kernel_eigenvalues(self.truncation))
+        return _frozen(bridge_sq_kernel_eigenvalues(self.truncation))
 
     def critical_value(self, alpha: float) -> float:
         """Type-7 (linearly interpolated) upper quantile at level ``alpha``."""
-        if not 0.0 < alpha < 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
+        _check_alpha(alpha)
         return float(np.quantile(self.samples, 1.0 - alpha))
 
     def p_value(self, statistic: float | np.ndarray) -> float | np.ndarray:

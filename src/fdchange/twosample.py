@@ -12,34 +12,17 @@ the rule the change-point tests use too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .changepoint import TestOutcome
 from .curves import FunctionalSample, require_same_grid
 from .fpca import EigenSystem, _require_components, eigendecompose
 from .limitdist import normal_p_value
 
 __all__ = [
-    "TwoSampleOutcome",
     "pooled_eigensystem",
     "two_sample_test",
 ]
-
-
-@dataclass(frozen=True)
-class TwoSampleOutcome:
-    """Result of the projected mean-difference test."""
-
-    statistic: float  # the quadratic form D
-    z_score: float
-    p_value: float
-    d: int
-    diagnostics: dict
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
 
 def pooled_eigensystem(x: FunctionalSample, y: FunctionalSample, d_max: int) -> EigenSystem:
@@ -65,16 +48,18 @@ def _projected_statistic(
     return statistic, float((statistic - d) / np.sqrt(2.0 * d))
 
 
-def two_sample_test(
-    x: FunctionalSample, y: FunctionalSample, d: int
-) -> TwoSampleOutcome:
-    """Compare sample means in the leading d pooled components."""
+def two_sample_test(x: FunctionalSample, y: FunctionalSample, d: int) -> TestOutcome:
+    """Compare sample means in the leading d pooled components.
+
+    The outcome's ``statistic`` is the quadratic form D and its ``z_score``
+    the standardized D that the p-value reads.
+    """
     eig = pooled_eigensystem(x, y, d)
     _require_components(eig, d)
     statistic, z = _projected_statistic(x, y, eig, d)
-    return TwoSampleOutcome(
+    return TestOutcome(
+        method="two-sample",
         statistic=statistic,
-        z_score=z,
         p_value=normal_p_value(z),
         d=d,
         diagnostics={
@@ -82,4 +67,5 @@ def two_sample_test(
             "spacings": eig.spacings[:d].copy(),
             "ratio": x.n_curves / y.n_curves,
         },
+        z_score=z,
     )

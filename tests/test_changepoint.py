@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from fdchange.changepoint import (
+    CHANGEPOINT_TESTS,
     CusumMatrix,
     _braces,
     _bridge_squares,
     _corollary_statistic,
     _cvm_stats_by_prefix,
     _estimator_curve,
+    _statistics,
     binary_segmentation,
     corollary_tests,
     cusum_matrix,
@@ -88,6 +90,23 @@ class TestCusumMatrix:
     def test_last_column_vanishes(self):
         cusum = bm_cusum(seed=3)
         assert np.max(np.abs(cusum.values[:, -1])) < 1e-8
+
+    @pytest.mark.parametrize("seed", [3, 21])
+    def test_statistics_read_bridges_not_the_end_value(self, seed):
+        """A constant c_j added to score column j adds k c_j to row j. Every
+        statistic and the estimator read the bridges S_j(k) - (k/N) S_j(N),
+        which that drift does not move, so the CUSUM need not end at zero."""
+        cusum = bm_cusum(d=5, seed=seed)
+        n = cusum.values.shape[1] - 1
+        c = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(cusum.d, 1))
+        drifted = CusumMatrix(cusum.values + c * np.arange(n + 1))
+        assert np.all(np.abs(drifted.values[:, -1]) > 1.0)
+        d_list = range(2, cusum.d + 1)
+        for method in CHANGEPOINT_TESTS:
+            assert _statistics(drifted.values, method, d_list) == pytest.approx(
+                _statistics(cusum.values, method, d_list), rel=1e-9
+            )
+        assert estimate_changepoint(drifted) == estimate_changepoint(cusum)
 
     def test_rows_are_scaled_score_sums(self):
         sample = generate_bm_sample(30, 80, seed=6)

@@ -244,6 +244,54 @@ class TestSegment:
         assert isinstance(payload["tree"], dict)
 
 
+def write_seasonal_rows(path, seed, offset):
+    """200 curves over days 1..365 in the rows layout: ``offset`` plus 24
+    Fourier components whose standard deviations fall as exp(-0.7 k)."""
+    day = np.arange(1, 366)
+    x = (day - 1) / 364
+    k = np.arange(24)
+    freq = (k // 2 + 1)[:, None]
+    phi = np.sqrt(2.0) * np.where(
+        (k % 2 == 0)[:, None], np.sin(2 * np.pi * freq * x), np.cos(2 * np.pi * freq * x)
+    )
+    xi = np.random.default_rng(seed).standard_normal((200, 24))
+    curves = offset + (xi * np.exp(-0.7 * k)) @ phi
+    lines = [",".join(str(d) for d in day)]
+    lines += [",".join(repr(float(v)) for v in row) for row in curves]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestOffsetData:
+    """Curves around 285 (temperatures in kelvin, say) get the answers of the
+    same curves around 0. Centering leaves a rounding residue in each score
+    column that grows with the offset; the statistics read bridges, which it
+    does not move, so no command may refuse the data for it."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_offset_moves_no_answer(self, capsys, tmp_path, seed):
+        answers = []
+        for offset in (0, 285):
+            path = tmp_path / f"offset{offset}.csv"
+            write_seasonal_rows(path, seed, offset)
+            code, out, err = run_cli(
+                capsys, "cpt-test", str(path), "--method", "cvm-sum", "--d", "15"
+            )
+            assert (code, err) == (0, "")
+            statistic = float(parse_csv(out)[1][0]["statistic"])
+            code, out, err = run_cli(capsys, "estimate", str(path), "--d", "15")
+            assert (code, err) == (0, "")
+            theta = parse_csv(out)[1][0]["theta_hat"]
+            code, out, _ = run_cli(
+                capsys, "segment", str(path), "--d-list", "15", "--reps", "200", "--seed", "1"
+            )
+            assert code == 0
+            tree = [(r["status"], r["change_after"]) for r in parse_csv(out)[1]]
+            answers.append((statistic, theta, tree))
+        (stat0, theta0, tree0), (stat285, theta285, tree285) = answers
+        assert stat285 == pytest.approx(stat0, rel=1e-6)
+        assert (theta285, tree285) == (theta0, tree0)
+
+
 class TestSimulate:
     def test_size_table(self, capsys):
         code, out, err = run_cli(
@@ -731,10 +779,14 @@ class TestExitCodes:
             (("cpt-test", "{x}", *RAW, "--d", "1"), "cvm2d needs --d >= 2, got 1"),
             (("simulate", "--n", "20", "--reps", "5", "--d-list", "1,3"),
              "cvm2d needs every --d-list entry >= 2, got 1"),
+            (("simulate", "--test", "cvm-sum", "--n", "20", "--grid-size", "30", "--a", "nan",
+              "--reps", "5"), "a must be finite, got nan"),
+            (("simulate", "--test", "two-sample", "--n", "20", "--grid-size", "30", "--a", "inf",
+              "--reps", "5"), "a must be finite, got inf"),
         ],
         ids=["cv-reps", "cv-workers", "cpt-reps", "cpt-workers", "segment-reps",
              "segment-workers", "simulate-reps", "simulate-workers", "cpt-d1",
-             "simulate-d1"],
+             "simulate-d1", "simulate-a-nan", "simulate-a-inf"],
     )
     def test_bad_draw_settings_are_named_before_the_seed(
         self, capsys, cli_files, monkeypatch, argv, message

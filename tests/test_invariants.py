@@ -8,16 +8,20 @@ the curve sequence. The two-sample quadratic form shares the first three.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdchange.changepoint import (
+    CHANGEPOINT_TESTS,
     _braces,
     _bridge_squares,
     _corollary_statistic,
     _cvm_stats_by_prefix,
+    _statistics,
     cusum_matrix,
     estimate_changepoint,
 )
-from fdchange.curves import FunctionalSample
+from fdchange.curves import FunctionalSample, Grid
 from fdchange.fpca import compute_scores, sample_eigensystem
 from fdchange.limitdist import simulate_tld
 from fdchange.simulation import generate_bm_sample, inject_shift
@@ -90,6 +94,61 @@ class TestChangepointStatisticInvariance:
         assert cvm_stat(flipped) == base
         assert cvm_stat(scaled) == pytest.approx(base, rel=1e-9)
         assert cvm_stat(reversed_sample) == pytest.approx(base, rel=1e-9)
+
+
+def spectrum_sample(seed: int, components: int, decades: float) -> FunctionalSample:
+    """80 raw curves on 121 points: sum_k xi_ik sqrt(var_k) sqrt(2) sin(k pi t),
+    with variances falling evenly in log from 1 over ``decades`` decades."""
+    grid = Grid.uniform(121)
+    k = np.arange(1, components + 1)
+    basis = np.sqrt(2.0) * np.sin(np.pi * k[:, None] * grid.points)
+    sd = 10.0 ** (-0.5 * decades * np.linspace(0.0, 1.0, components))
+    xi = np.random.default_rng(seed).standard_normal((80, components))
+    return FunctionalSample(grid, (xi * sd) @ basis)
+
+
+def every_statistic(sample: FunctionalSample, d_max: int):
+    """The eigensystem and, per change-point method, its statistic at d = 2..retained."""
+    eig = sample_eigensystem(sample, d_max)
+    cusum = cusum_matrix(compute_scores(sample, eig, eig.d))
+    d_list = range(2, eig.d + 1)
+    return eig, {m: _statistics(cusum.values, m, d_list) for m in CHANGEPOINT_TESTS}
+
+
+class TestLocationShiftProperty:
+    """Adding c g(t), one fixed function, to every curve moves no statistic.
+
+    Centering removes c g once, at the data's scale; the rounding it leaves
+    shifts each score column by a constant, which the CUSUM bridges cancel.
+    A spectrum spanning many decades makes that rounding large next to the
+    smallest score sums, which is where a check that the CUSUM ends at zero
+    used to reject the data. Only d whose leading eigenvalues are all well
+    separated (relative spacing >= 1e-3) are compared: below that the
+    eigenfunctions themselves are not determined by the data. Drawn spectra
+    span at most six decades, since far below the top eigenvalue the
+    eigensolve, not the offset, limits how well a component is resolved.
+    """
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        components=st.integers(3, 12),
+        decades=st.floats(0.0, 6.0),
+        c=st.floats(-1e6, 1e6),
+    )
+    @example(seed=1, components=12, decades=10.0, c=1e3)  # the end-at-zero check rejected it
+    def test_statistics_ignore_an_added_function(self, seed, components, decades, c):
+        sample = spectrum_sample(seed, components, decades)
+        g = 1.0 + sample.grid.points**2
+        eig, base = every_statistic(sample, components)
+        moved_eig, moved = every_statistic(remake(sample, sample.values + c * g), components)
+        relative = eig.spacings / eig.eigenvalues
+        separated = [
+            d for d in range(2, min(eig.d, moved_eig.d) + 1) if relative[:d].min() >= 1e-3
+        ]
+        for method in CHANGEPOINT_TESTS:
+            for d in separated:
+                assert moved[method][d - 2] == pytest.approx(base[method][d - 2], rel=1e-6)
 
 
 class TestCorollaryStatisticInvariance:

@@ -87,6 +87,8 @@ class TestScenarioValidation:
             {"n": 100, "alpha_list": (1.2,)},
             {"n": 100, "k_star": 0},
             {"n": 100, "k_star": 100},
+            {"n": 100, "a": float("nan")},
+            {"n": 100, "a": float("inf")},
         ],
     )
     def test_rejects_bad_configuration(self, kwargs):
