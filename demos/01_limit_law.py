@@ -45,7 +45,7 @@ print(f"  (full spectrum on 400 points sums to {trace:.6f}; exact trace 1/15 = {
 # Simulate the law and read off upper quantiles.  truncation=49 keeps the
 # first 49 terms of each series; reps trades accuracy for time.
 
-law = simulate_tld(truncation=49, reps=20_000, seed=1, workers=2)
+law = simulate_tld(truncation=49, reps=20_000, seed=1)
 print("\ncritical values from 20000 replicates (truncation 49):")
 for alpha in (0.01, 0.05, 0.10):
     print(f"  alpha = {alpha:.2f}:  {law.critical_value(alpha):.4f}")

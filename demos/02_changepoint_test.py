@@ -28,7 +28,7 @@ from fdchange import (
 clean = generate_bm_sample(200, 500, seed=7)
 shifted = inject_shift(clean, a=1.2, k_star=120)
 
-law = simulate_tld(truncation=49, reps=20_000, seed=2, workers=2)
+law = simulate_tld(truncation=49, reps=20_000, seed=2)
 
 eig5, cusum5 = sample_cusum(shifted, 5)  # leading 5 components, CUSUM of their scores
 out = cvm2d_test(eig5, cusum5, law)

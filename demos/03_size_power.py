@@ -3,8 +3,8 @@
 The harness replays one protocol: n Brownian curves on a fine grid, an
 optional mean shift a*t*(1-t) after curve k_star, the test run at every
 d in d_list, rejection counted at every alpha in alpha_list.  Replicates
-are deterministic given the scenario seed and run in one process; only the
-limit-law draw is spread over worker processes.  Full-scale settings (1000
+are deterministic given the scenario seed and run in one thread; only the
+limit-law draw is spread over the process's cores.  Full-scale settings (1000
 replicates, d up to 15) finish in minutes; this demo uses 250 replicates to
 stay quick.
 """
@@ -13,7 +13,7 @@ import time
 
 from fdchange import SimScenario, run_size_power, simulate_tld
 
-law = simulate_tld(truncation=49, reps=20_000, seed=1, workers=2)
+law = simulate_tld(truncation=49, reps=20_000, seed=1)
 
 start = time.perf_counter()
 

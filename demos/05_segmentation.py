@@ -21,7 +21,7 @@ values = sample.values.copy()
 values[100:200] += 2.5 * t * (1.0 - t)
 sample = FunctionalSample(sample.grid, values)
 
-law = simulate_tld(truncation=49, reps=20_000, seed=1, workers=2)
+law = simulate_tld(truncation=49, reps=20_000, seed=1)
 
 tree = binary_segmentation(sample, d_list=(3, 4, 5), alpha=0.01, law=law)
 

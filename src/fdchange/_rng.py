@@ -2,7 +2,7 @@
 
 All Monte Carlo loops in this package draw replicate ``r`` from a stream
 derived from ``(seed, r)`` via the counter-based Philox generator, so results
-are reproducible and independent of execution order or worker count.
+are reproducible and independent of execution order or core count.
 
 Stream ``r`` of ``seed`` is Philox under the key of ``SeedSequence(seed)``
 with its 256-bit counter started at ``r * 2**128``. That is exactly the

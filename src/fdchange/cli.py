@@ -10,23 +10,24 @@ read are the draw settings of a randomized command (``critical-values``,
 ``segment``, ``simulate`` and ``cpt-test --method cvm2d``, which draw a
 Monte Carlo law or replicates): ``--K`` and ``--reps`` (or ``--law-reps``
 of ``simulate``) when a limit law is drawn, then ``--workers``; the
-scenario; d >= 1 for ``fpca-summary``, ``two-sample`` and the normal-limit
-methods of ``cpt-test``; and d >= 2 for cvm2d and the change-point
-estimator (both sum over strict prefixes of the components, so both are 0
-at d = 1). So ``cpt-test --d 1``, ``estimate --d 1``, ``fpca-summary
---d 0``, a 1 in the ``--d-list`` of ``segment`` or of ``simulate --test
-cvm2d``, and ``--workers 0`` of a randomized command exit 4 whether or not
-the input exists. Whether d components survive the eigenvalue floor is
+scenario, and the settings its ``--test`` never reads (``--m`` of a
+change-point test, ``--k-star`` of ``two-sample``); d >= 1 for
+``fpca-summary``, ``two-sample`` and the normal-limit methods of
+``cpt-test``; and d >= 2 for cvm2d and the change-point estimator (both
+sum over strict prefixes of the components, so both are 0 at d = 1). So
+``cpt-test --d 1``, ``estimate --d 1``, ``fpca-summary --d 0``, a 1 in the
+``--d-list`` of ``segment`` or of ``simulate --test cvm2d``, and
+``--workers 0`` of a randomized command exit 4 whether or not the input
+exists. Whether d components survive the eigenvalue floor is
 checked once the data is read. Last, a randomized command prints the
 effective seed on stderr so a rerun with ``--seed`` reproduces its output
 byte for byte, and checks that ``--out`` can be written, all before it
 draws anything.
 The other commands are deterministic; ``cpt-test`` with a normal-limit
 method (``sup-bridge``, ``cvm-sum`` or ``sup-sum``) ignores ``--reps``,
-``--seed`` and ``--workers``. ``--workers`` counts the processes of the
-limit-law draw and of nothing else, so ``simulate`` uses it only for the
-``--law-reps`` draw of cvm2d: one process (the default) draws the law on its
-cores in threads, and N > 1 forks N processes.
+``--seed`` and ``--workers``. The limit law is always drawn in threads on
+this process's cores; ``--workers`` is checked and otherwise unused, kept so
+that existing command lines run.
 Every JSON report starts with ``version``, ``command`` and, for a randomized
 command, ``seed``.
 """
@@ -65,7 +66,7 @@ from .errors import (
 from .fpca import _check_d, sample_eigensystem, variance_explained
 from .ingest import FLOAT_FORMAT, IngestionConfig, ingest
 from .limitdist import MAX_TRUNCATION, MIN_REPS, STANDARD_ALPHAS, simulate_tld
-from .simulation import SimScenario, run_size_power
+from .simulation import SimScenario, _check_design, run_size_power
 from .twosample import two_sample_test
 
 _EXIT_PARSE = 3
@@ -151,7 +152,7 @@ def _check_law(args, reps: int | None, flag: str) -> None:
     """Reject, by flag name, the draw settings of a randomized command: a --K
     that the simulated law's Nystrom grid cannot resolve and a replicate count
     ``reps`` (given as ``flag``) below MIN_REPS, unless ``reps`` is None (no
-    law is drawn), and a --workers below 1."""
+    law is drawn), and a --workers below 1, though the flag selects nothing."""
     if reps is not None:
         if not 1 <= args.truncation <= MAX_TRUNCATION:
             raise ConfigurationError(
@@ -166,7 +167,10 @@ def _check_law(args, reps: int | None, flag: str) -> None:
 def _basis_size(text: str):
     if text.lower() in ("raw", "none"):
         return None
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an odd integer >= 3 or 'raw', got {text!r}")
 
 
 def _list_of(kind, noun: str):
@@ -211,8 +215,8 @@ def _add_law_flags(
     sub.add_argument("--seed", type=int, default=None,
                      help="RNG seed (default: fresh entropy, printed to stderr)")
     sub.add_argument("--workers", type=int, default=1,
-                     help="processes for the limit-law draw only: 1 draws it on this "
-                          "process's cores in threads, N > 1 forks N processes (default 1)")
+                     help="must be >= 1 and selects nothing: the limit law is always drawn "
+                          "in threads on this process's cores (kept for existing scripts)")
 
 
 def _load_sample(args, path: str):
@@ -231,12 +235,7 @@ def _load_sample(args, path: str):
 def _cmd_critical_values(args) -> int:
     _check_law(args, args.reps, "--reps")
     seed = _start_draws(args)
-    law = simulate_tld(
-        truncation=args.truncation,
-        reps=args.reps,
-        seed=seed,
-        workers=args.workers,
-    )
+    law = simulate_tld(truncation=args.truncation, reps=args.reps, seed=seed)
     rows = [
         {
             "alpha": alpha,
@@ -261,7 +260,7 @@ def _cmd_cpt_test(args) -> int:
     seed = None
     if args.method == "cvm2d":
         seed = _start_draws(args)
-        law = simulate_tld(args.truncation, args.reps, seed=seed, workers=args.workers)
+        law = simulate_tld(args.truncation, args.reps, seed=seed)
         outcome = cvm2d_test(eig, cusum, law)
     else:
         outcome = corollary_tests(cusum, args.method)
@@ -289,7 +288,7 @@ def _cmd_segment(args) -> int:
     _check_law(args, args.reps, "--reps")
     sample = _load_sample(args, args.input)
     seed = _start_draws(args)
-    law = simulate_tld(args.truncation, args.reps, seed=seed, workers=args.workers)
+    law = simulate_tld(args.truncation, args.reps, seed=seed)
     tree = binary_segmentation(
         sample, args.d_list, args.alpha, law, min_segment=args.min_segment
     )
@@ -325,13 +324,12 @@ def _cmd_simulate(args) -> int:
         alpha_list=args.alpha,
         reps=args.reps,
     )
-    if args.test == "cvm2d":
-        _require_cvm2d_d(scenario.d_list, "every --d-list entry")
+    _check_design(scenario, args.test, "every --d-list entry")
     seed = _start_draws(args)
     scenario = dataclasses.replace(scenario, seed=seed)
     law = None
     if args.test == "cvm2d":
-        law = simulate_tld(args.truncation, args.law_reps, seed=seed + 1, workers=args.workers)
+        law = simulate_tld(args.truncation, args.law_reps, seed=seed + 1)
     report = run_size_power(scenario, args.test, law=law)
     rows = list(report.rows)
     return _report(
@@ -418,10 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", choices=CHANGEPOINT_TESTS + ("two-sample",), default="cvm2d")
     p.add_argument("--n", type=int, required=True, help="curves per sample")
     p.add_argument("--m", type=int, default=None,
-                   help="second-sample size for two-sample (default: n)")
+                   help="second-sample size, two-sample only (default: n)")
     p.add_argument("--a", type=float, default=0.0, help="shift amplitude (default 0)")
     p.add_argument("--k-star", type=int, default=None,
-                   help="last pre-change index (default n//2 when a != 0)")
+                   help="last pre-change index, change-point tests only "
+                        "(default n//2 when a != 0)")
     p.add_argument("--d-list", type=_list_of(int, "integers"), default=(5,), metavar="D1,D2,...")
     p.add_argument("--alpha", type=_list_of(float, "numbers"), default=(0.05,),
                    metavar="A1,A2,...", help="levels evaluated (default 0.05)")

@@ -186,21 +186,24 @@ def simulate_tld(
 ) -> LimitLaw:
     """Simulate the truncated double series and package it as a ``LimitLaw``.
 
-    ``workers=1`` draws the replicates in threads on the process's cores:
-    about 90% of a draw is numpy's normal fill, which runs without the GIL,
-    and the square and the weighted sums run once per block of draws.
-    ``workers > 1`` forks that many processes. Replicate r draws from stream
-    ``(seed, r)`` either way, so the samples do not depend on either count.
+    The replicates are drawn in threads on the process's cores: about 90% of
+    a draw is numpy's normal fill, which runs without the GIL, and the square
+    and the weighted sums run once per block of draws. Replicate r draws from
+    stream ``(seed, r)``, so the samples do not depend on the core count.
+    ``workers`` is checked (>= 1) and otherwise unused; it is kept so that
+    existing calls run.
     """
     if reps < MIN_REPS:
         raise ConfigurationError(f"reps must be >= {MIN_REPS}, got {reps}")
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     lam = wiener_eigenvalues(truncation)
     nu = bridge_sq_kernel_eigenvalues(truncation)
     # The seed's SeedSequence is built here, in the calling thread: the first
     # one imports numpy.random, whose allocations would otherwise stay in a
     # drawing thread's malloc arena (about 0.8 MB more peak RSS).
     _seed_sequence(seed)
-    draws = run_replicates(partial(_tld_chunk, seed, lam, nu), reps, workers)
+    draws = run_replicates(partial(_tld_chunk, seed, lam, nu), reps)
     draws.sort()
     return LimitLaw(truncation=truncation, samples=draws, seed=seed)
 

@@ -176,6 +176,21 @@ def _replicate_statistics(scenario: SimScenario, test: str) -> np.ndarray:
     return out
 
 
+def _check_design(scenario: SimScenario, test: str, d_name: str = "d") -> None:
+    """Refuse an unknown ``test``, a setting that ``test`` never reads (``m``
+    or ``k_star``) and, for cvm2d, a d below 2 (``d_name`` in the error)."""
+    if test in CHANGEPOINT_TESTS:
+        if scenario.m is not None:
+            raise ConfigurationError(f"m is a second-sample size; {test} draws one sample")
+        if test == "cvm2d":
+            _require_cvm2d_d(scenario.d_list, d_name)
+    elif test == "two-sample":
+        if scenario.k_star is not None:
+            raise ConfigurationError("k_star is a change point; two-sample has none")
+    else:
+        raise ConfigurationError(f"unknown test {test!r}")
+
+
 def run_size_power(
     scenario: SimScenario,
     test: str = "cvm2d",
@@ -183,22 +198,18 @@ def run_size_power(
 ) -> SimReport:
     """Estimate rejection probabilities for every (d, alpha) of the scenario.
 
-    ``law`` is required for the cvm2d test (simulate it once and reuse it),
-    and so is d >= 2 throughout ``d_list``;
+    ``law`` is required for the cvm2d test (simulate it once and reuse it);
     the normal-limit tests, ``sup-bridge`` included, need nothing drawn
-    beyond the replicates. Statistics are computed once per replicate and
-    thresholded at every alpha. A change-point shift (``a != 0``) without a
-    ``k_star`` starts after ``n // 2``, which the report's scenario records.
+    beyond the replicates. ``_check_design`` refuses the settings ``test``
+    cannot use. Statistics are computed once per replicate and thresholded
+    at every alpha. A change-point shift (``a != 0``) without a ``k_star``
+    starts after ``n // 2``, which the report's scenario records.
     """
-    if test in CHANGEPOINT_TESTS:
-        if scenario.a != 0.0 and scenario.k_star is None:
-            scenario = replace(scenario, k_star=scenario.n // 2)
-        if test == "cvm2d":
-            if law is None:
-                raise ConfigurationError("cvm2d needs a simulated LimitLaw")
-            _require_cvm2d_d(scenario.d_list)
-    elif test != "two-sample":
-        raise ConfigurationError(f"unknown test {test!r}")
+    _check_design(scenario, test)
+    if test == "cvm2d" and law is None:
+        raise ConfigurationError("cvm2d needs a simulated LimitLaw")
+    if test in CHANGEPOINT_TESTS and scenario.a != 0.0 and scenario.k_star is None:
+        scenario = replace(scenario, k_star=scenario.n // 2)
     stats = _replicate_statistics(scenario, test)
     p_values = law.p_value(stats) if test == "cvm2d" else normal_p_value(stats)
 

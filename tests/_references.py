@@ -6,8 +6,8 @@ from a Wiener sheet via a time rescaling and integrates its square by
 quadrature. ``limitdist.simulate_tld`` draws the same law from its truncated
 double series, so agreement between the two checks the series route.
 Replicate r draws from its own ``(seed, r)`` stream and the replicates run
-through ``fdchange._parallel.run_replicates``, so the draws are the same for
-any worker count.
+in threads through ``fdchange._parallel.run_replicates``, so the draws are
+the same for any core count.
 
 ``tld_chunk_per_draw`` is the series sampler's draw one replicate at a
 time: fill, square and weigh each replicate's normals on their own.
@@ -83,7 +83,6 @@ def simulate_gamma_functional(
     grid_x: int = 200,
     reps: int = 20_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> np.ndarray:
     """Draws of the integrated squared limit field, simulated as a Wiener sheet.
 
@@ -95,4 +94,4 @@ def simulate_gamma_functional(
         raise ResolutionError("gamma-representation grids need at least 50 increments each")
     if reps < MIN_REPS:
         raise ConfigurationError(f"reps must be >= {MIN_REPS}, got {reps}")
-    return run_replicates(partial(_gamma_chunk, seed, grid_u, grid_x), reps, workers)
+    return run_replicates(partial(_gamma_chunk, seed, grid_u, grid_x), reps)

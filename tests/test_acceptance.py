@@ -21,7 +21,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from _references import kernel_spectrum, simulate_gamma_functional
-from conftest import LAW_SEED, TIMINGS, WORKERS
+from conftest import LAW_SEED, TIMINGS, set_cores
 from fdchange._rng import replicate_rng
 from fdchange.changepoint import (
     _braces,
@@ -103,8 +103,6 @@ def test_criterion_01_critical_values(law100k, capsys):
             "100000",
             "--seed",
             str(LAW_SEED),
-            "--workers",
-            str(WORKERS),
         ]
     )
     elapsed = time.perf_counter() - start
@@ -137,10 +135,8 @@ def test_criterion_02_sampler_cross_check():
     At ``LAW_SEED`` the KS distance is about 0.0099 and the series mean is
     about 0.13 standard errors off, so the KS gate has a thin margin.
     """
-    tld = simulate_tld(150, reps=20_000, seed=LAW_SEED, workers=WORKERS)
-    sheet = simulate_gamma_functional(
-        grid_u=250, grid_x=250, reps=20_000, seed=LAW_SEED, workers=WORKERS
-    )
+    tld = simulate_tld(150, reps=20_000, seed=LAW_SEED)
+    sheet = simulate_gamma_functional(grid_u=250, grid_x=250, reps=20_000, seed=LAW_SEED)
     ks = float(ks_2samp(tld.samples, sheet).statistic)
     assert ks < 0.01
     offsets = []
@@ -357,13 +353,13 @@ def _cvm_statistic(sample: FunctionalSample, d: int = 4) -> float:
     return _cvm_stats_by_prefix(_braces(cusum.values))[d - 1]
 
 
-def test_criterion_10_invariance_and_determinism():
+def test_criterion_10_invariance_and_determinism(monkeypatch):
     """Statistic invariances and seeded determinism, asserted exactly.
 
     Sign flips leave the statistic bit-identical; rescaling, a common
     location shift, and reversing the sample order leave it equal to
     round-off; repeated simulations with one seed are bit-identical and
-    independent of the worker count.
+    independent of the core count the draws run on.
     """
     sample = generate_bm_sample(60, 100, seed=424242)
     grid, values = sample.grid, sample.values
@@ -388,12 +384,10 @@ def test_criterion_10_invariance_and_determinism():
     law_b = simulate_tld(5, reps=200, seed=42)
     assert np.array_equal(law_a.samples, law_b.samples)
 
-    sheet_serial = simulate_gamma_functional(
-        grid_u=60, grid_x=60, reps=200, seed=9, workers=1
-    )
-    sheet_parallel = simulate_gamma_functional(
-        grid_u=60, grid_x=60, reps=200, seed=9, workers=2
-    )
+    set_cores(monkeypatch, 1)
+    sheet_serial = simulate_gamma_functional(grid_u=60, grid_x=60, reps=200, seed=9)
+    set_cores(monkeypatch, 3)
+    sheet_parallel = simulate_gamma_functional(grid_u=60, grid_x=60, reps=200, seed=9)
     assert np.array_equal(sheet_serial, sheet_parallel)
 
     assert _cvm_statistic(sample) == base

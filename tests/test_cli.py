@@ -331,27 +331,14 @@ class TestSimulate:
         row = payload["rows"][0]
         assert row["k_star"] is None and 0.0 <= row["p_hat"] <= 1.0
 
-    @pytest.mark.parametrize("test, pools", [("two-sample", 0), ("cvm2d", 1)])
-    def test_workers_fan_out_only_the_law(self, capsys, monkeypatch, test, pools):
-        # Each forked worker keeps numpy's whole BLAS pool, so the scenario
-        # replicates (an eigensolve each) run in one process and only the
-        # law's draw starts a pool; the report cannot depend on --workers.
-        import concurrent.futures
-
-        started = []
-
-        class SpyPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    @pytest.mark.parametrize("test", ["two-sample", "cvm2d"])
+    def test_workers_change_no_report(self, capsys, test):
+        # --workers is checked and otherwise unused: the law is drawn in
+        # threads on this process's cores whatever its value.
         argv = ("simulate", "--test", test, "--n", "30", "--grid-size", "60",
                 "--d-list", "3,5", "--reps", "40", "--law-reps", "2000", "--seed", "3")
         one = run_cli(capsys, *argv, "--workers", "1")
-        assert started == []
         two = run_cli(capsys, *argv, "--workers", "2")
-        assert started == [2] * pools
         assert one[0] == 0 and one == two
 
 
@@ -783,10 +770,17 @@ class TestExitCodes:
               "--reps", "5"), "a must be finite, got nan"),
             (("simulate", "--test", "two-sample", "--n", "20", "--grid-size", "30", "--a", "inf",
               "--reps", "5"), "a must be finite, got inf"),
+            (("simulate", "--test", "two-sample", "--n", "20", "--reps", "5", "--d-list", "3",
+              "--k-star", "5"), "k_star is a change point; two-sample has none"),
+            (("simulate", "--test", "cvm-sum", "--n", "20", "--reps", "5", "--m", "7"),
+             "m is a second-sample size; cvm-sum draws one sample"),
+            (("simulate", "--n", "20", "--reps", "5", "--m", "7"),
+             "m is a second-sample size; cvm2d draws one sample"),
         ],
         ids=["cv-reps", "cv-workers", "cpt-reps", "cpt-workers", "segment-reps",
              "segment-workers", "simulate-reps", "simulate-workers", "cpt-d1",
-             "simulate-d1", "simulate-a-nan", "simulate-a-inf"],
+             "simulate-d1", "simulate-a-nan", "simulate-a-inf", "simulate-two-sample-k-star",
+             "simulate-cvm-sum-m", "simulate-cvm2d-m"],
     )
     def test_bad_draw_settings_are_named_before_the_seed(
         self, capsys, cli_files, monkeypatch, argv, message
@@ -905,6 +899,14 @@ class TestExitCodes:
         assert info.value.code == 2
         capsys.readouterr()
 
+    def test_bad_basis_size_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["fpca-summary", "x.csv", "--basis-size", "abc"])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert "_basis_size" not in err
+        assert "argument --basis-size: expected an odd integer >= 3 or 'raw', got 'abc'" in err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--version"])
@@ -942,7 +944,8 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
 
-    #: Modules only ``--workers`` above 1 may load. The process pool cost
+    #: Modules of a process pool, which the package never starts: the law is
+    #: drawn in threads whatever ``--workers`` says. The process pool cost
     #: about 2 MB of resident memory at import, and ``concurrent.futures``
     #: alone (with ``logging``) about 0.4 MB.
     POOL_MODULES = ("concurrent.futures", "concurrent.futures.process", "multiprocessing")
@@ -963,13 +966,21 @@ class TestConsoleScript:
     def test_cli_import_starts_no_process_pool(self):
         assert self._loaded_pool_modules("import fdchange.cli") == "[]"
 
-    def test_one_worker_law_starts_no_process_pool(self):
-        # One worker draws the law in threads of its own process.
+    def test_law_starts_no_process_pool(self):
+        # The law is drawn in threads of this process for any workers value.
         code = (
             "from fdchange.limitdist import simulate_tld\n"
-            "simulate_tld(truncation=7, reps=400, seed=5, workers=1)"
+            "simulate_tld(truncation=7, reps=400, seed=5, workers=4)"
         )
         assert self._loaded_pool_modules(code) == "[]"
+
+    def test_workers_flag_starts_no_process_pool(self):
+        code = (
+            "from fdchange.cli import main\n"
+            "assert main(['critical-values', '--reps', '200', '--seed', '1', "
+            "'--workers', '2']) == 0"
+        )
+        assert self._loaded_pool_modules(code).splitlines()[-1] == "[]"
 
     def test_cli_import_skips_scipy_linalg(self, cli_files):
         # numpy is the only runtime dependency: no scipy module at all is

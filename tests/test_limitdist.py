@@ -2,7 +2,6 @@
 the normal-limit p-value."""
 
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -30,7 +29,7 @@ from fdchange.limitdist import (
 )
 
 from _references import kernel_spectrum, simulate_gamma_functional, tld_chunk_per_draw
-from conftest import WORKERS
+from conftest import set_cores
 
 
 class TestWienerEigenvalues:
@@ -155,10 +154,12 @@ class TestSimulateTld:
     def test_five_percent_critical_value(self, law20k):
         assert law20k.critical_value(0.05) == pytest.approx(0.0726, abs=0.004)
 
-    def test_deterministic_and_worker_count_free(self):
+    def test_deterministic_and_core_count_free(self, monkeypatch):
+        set_cores(monkeypatch, 1)
         a = simulate_tld(truncation=7, reps=400, seed=99)
         b = simulate_tld(truncation=7, reps=400, seed=99)
-        c = simulate_tld(truncation=7, reps=400, seed=99, workers=2)
+        set_cores(monkeypatch, 3)
+        c = simulate_tld(truncation=7, reps=400, seed=99)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.samples, c.samples)
 
@@ -209,7 +210,7 @@ class TestSimulateTld:
         # At K = 250 one draw's normals take 500 KB, so a block holds one
         # draw. The bound is the one-draw loop's peak (1016636 bytes with two
         # threads) plus 10%; a block that grew with K would break it.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        set_cores(monkeypatch, 2)
         simulate_tld(250, reps=200)
         tracemalloc.start()
         try:
@@ -266,9 +267,7 @@ class TestGammaRepresentation:
             simulate_gamma_functional(grid_u=20, grid_x=200, reps=200, seed=0)
 
     def test_mean_near_one_thirtieth(self):
-        draws = simulate_gamma_functional(
-            grid_u=100, grid_x=100, reps=2000, seed=5, workers=WORKERS
-        )
+        draws = simulate_gamma_functional(grid_u=100, grid_x=100, reps=2000, seed=5)
         assert float(draws.mean()) == pytest.approx(1.0 / 30.0, rel=0.10)
 
     def test_replicate_streams_match_documented_scheme(self):
@@ -293,9 +292,7 @@ class TestGammaRepresentation:
         np.testing.assert_allclose(draws, expected, rtol=1e-12, atol=0.0)
 
     def test_agrees_with_series_sampler_upper_quantile(self, law20k):
-        draws = simulate_gamma_functional(
-            grid_u=150, grid_x=150, reps=4000, seed=6, workers=WORKERS
-        )
+        draws = simulate_gamma_functional(grid_u=150, grid_x=150, reps=4000, seed=6)
         assert float(np.quantile(draws, 0.95)) == pytest.approx(
             law20k.critical_value(0.05), abs=0.006
         )

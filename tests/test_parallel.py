@@ -1,5 +1,5 @@
-"""The chunked fan-out of ``_parallel.run_replicates``: one worker runs its
-chunks in threads on the process's cores, and the result is the bytes of one
+"""The chunked fan-out of ``_parallel.run_replicates``: the chunks run in
+threads on the process's cores, and the result is the bytes of one
 ``worker(0, total)`` call for any core count."""
 
 import os
@@ -20,6 +20,7 @@ from fdchange.limitdist import (
 )
 
 from _references import tld_chunk_per_draw
+from conftest import set_cores
 
 #: The thread class before a spy replaces it, for threads the test starts.
 _THREAD = threading.Thread
@@ -52,18 +53,14 @@ class _Spy:
         return _replicates(start, stop)
 
 
-def _set_cores(monkeypatch, cores: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-
-
 @pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("total", [1, 7, 100, 401])
 def test_threaded_run_is_one_call_bit_for_bit(monkeypatch, cores, total):
-    _set_cores(monkeypatch, cores)
+    set_cores(monkeypatch, cores)
     spy = _Spy(monkeypatch)
     out = _parallel.run_replicates(spy, total)
     assert out.tobytes() == _replicates(0, total).tobytes()
-    chunks = min(total, _parallel.CHUNKS_PER_WORKER * cores)
+    chunks = min(total, _parallel.CHUNKS_PER_CORE * cores)
     if cores == 1 or chunks == 1:
         assert spy.calls == [(0, total)]
         assert spy.started == 0
@@ -90,7 +87,7 @@ def test_cores_fall_back_to_cpu_count(monkeypatch):
 def test_every_chunk_runs_once_under_fast_thread_switching(monkeypatch):
     # More threads than cores, switching every microsecond: a chunk taken
     # twice or lost would show in the calls or the bytes.
-    _set_cores(monkeypatch, 8)
+    set_cores(monkeypatch, 8)
     spy = _Spy(monkeypatch)
     result = {}
     interval = sys.getswitchinterval()
@@ -115,7 +112,7 @@ class ChunkFailure(RuntimeError):
 
 @pytest.mark.parametrize("bad", [0, 50, 399])
 def test_chunk_exception_propagates_with_its_type(monkeypatch, bad):
-    _set_cores(monkeypatch, 3)
+    set_cores(monkeypatch, 3)
 
     def worker(start, stop):
         if start <= bad < stop:
@@ -129,12 +126,12 @@ def test_chunk_exception_propagates_with_its_type(monkeypatch, bad):
     assert threading.active_count() == before
 
 
-def test_one_worker_law_is_one_chunk_call(monkeypatch):
+def test_threaded_law_is_one_chunk_call(monkeypatch):
     # Whatever the core count, the threaded draw is the sorted output of
     # the one-draw loop over every replicate.
-    _set_cores(monkeypatch, 3)
+    set_cores(monkeypatch, 3)
     lam, nu = wiener_eigenvalues(9), bridge_sq_kernel_eigenvalues(9)
-    law = simulate_tld(truncation=9, reps=1000, seed=41, workers=1)
+    law = simulate_tld(truncation=9, reps=1000, seed=41)
     direct = tld_chunk_per_draw(41, lam, nu, 0, 1000)
     assert law.samples.tobytes() == np.sort(direct).tobytes()
     chunked = _parallel.run_replicates(partial(_tld_chunk, 41, lam, nu), 1000)
@@ -146,7 +143,7 @@ def test_one_worker_law_is_one_chunk_call(monkeypatch):
 def test_threaded_blocks_match_the_per_draw_loop(monkeypatch, cores, k, total):
     # The chunks of 3 or 8 threads end inside a block; with threads switching
     # every microsecond, a block shared between calls would show in the bytes.
-    _set_cores(monkeypatch, cores)
+    set_cores(monkeypatch, cores)
     lam, nu = wiener_eigenvalues(k), bridge_sq_kernel_eigenvalues(k)
     result = {}
     interval = sys.getswitchinterval()
@@ -165,7 +162,8 @@ def test_threaded_blocks_match_the_per_draw_loop(monkeypatch, cores, k, total):
     assert result["out"].tobytes() == tld_chunk_per_draw(8, lam, nu, 0, total).tobytes()
 
 
-@pytest.mark.parametrize("total, workers", [(0, 1), (10, 0)])
-def test_rejects_bad_counts(total, workers):
-    with pytest.raises(ConfigurationError):
-        _parallel.run_replicates(_replicates, total, workers)
+def test_rejects_bad_counts():
+    with pytest.raises(ConfigurationError, match="total replicates must be >= 1, got 0"):
+        _parallel.run_replicates(_replicates, 0)
+    with pytest.raises(ConfigurationError, match="workers must be >= 1, got 0"):
+        simulate_tld(truncation=9, reps=1000, seed=41, workers=0)

@@ -234,3 +234,20 @@ class TestRunSizePower:
             run_size_power(scenario, "cvm2d")
         with pytest.raises(ConfigurationError):
             run_size_power(scenario, "nonsense")
+
+    @pytest.mark.parametrize(
+        "test, settings, message",
+        [
+            ("two-sample", {"k_star": 5}, "k_star is a change point; two-sample has none"),
+            ("cvm2d", {"m": 7}, "m is a second-sample size; cvm2d draws one sample"),
+            ("sup-sum", {"m": 7}, "m is a second-sample size; sup-sum draws one sample"),
+        ],
+        ids=["two-sample-k-star", "cvm2d-m", "sup-sum-m"],
+    )
+    def test_settings_the_test_never_reads_are_refused(self, law20k, test, settings, message):
+        # The two-sample design shifts the whole second sample, and a
+        # change-point test draws no second sample: a report must not name
+        # a setting that its test never read.
+        scenario = SimScenario(n=20, grid_size=40, d_list=(3,), reps=4, seed=15, **settings)
+        with pytest.raises(ConfigurationError, match=message):
+            run_size_power(scenario, test, law=law20k)
