@@ -11,7 +11,9 @@ components:
 The integrated squared process is compared against the simulated limit law;
 three companion statistics with standard normal limits and an argmax
 change-point estimator share the same bridge arrays. ``_statistics`` turns a
-method name and a list of d into statistics for every caller.
+method name and a list of d into statistics for every caller, and
+``_p_values`` turns statistics into p-values: it alone picks a test's null,
+for the single tests, segmentation, the size study and the two-sample test.
 
 Every statistic and the estimator read the CUSUM only through the bridges
 ``S_j(k) - (k/N) S_j(N)``, which a constant added to a score column does not
@@ -162,6 +164,12 @@ def _require_cvm2d_d(d_values, name: str = "d", what: str = "cvm2d") -> None:
         raise ConfigurationError(f"{what} needs {name} >= 2, got {low}")
 
 
+def _require_distinct(values: tuple, name: str) -> None:
+    """Reject a list setting that repeats an entry: its report would repeat a row."""
+    if len(set(values)) < len(values):
+        raise ConfigurationError(f"{name} must not repeat an entry, got {values}")
+
+
 def cvm2d_test(eig: EigenSystem, cusum: CusumMatrix, law: LimitLaw) -> TestOutcome:
     """Cramer-von Mises type test: integrated squared Z against the limit law.
 
@@ -169,18 +177,12 @@ def cvm2d_test(eig: EigenSystem, cusum: CusumMatrix, law: LimitLaw) -> TestOutco
     needs d >= 2.
     """
     _require_cvm2d_d([cusum.d])
-    stat = float(_statistics(cusum.values, "cvm2d", [cusum.d])[0])
-    return TestOutcome(
-        method="cvm2d",
-        statistic=stat,
-        p_value=law.p_value(stat),
-        d=cusum.d,
-        diagnostics={
-            "eigenvalues": eig.eigenvalues.copy(),
-            "spacings": eig.spacings.copy(),
-            "truncated": eig.truncated,
-        },
-    )
+    diagnostics = {
+        "eigenvalues": eig.eigenvalues.copy(),
+        "spacings": eig.spacings.copy(),
+        "truncated": eig.truncated,
+    }
+    return _changepoint_test(cusum, "cvm2d", law, diagnostics)
 
 
 def _corollary_statistic(variant: str, bridge_sq: np.ndarray, d: int) -> float:
@@ -211,19 +213,28 @@ def corollary_tests(cusum: CusumMatrix, variant: str) -> TestOutcome:
     ``sup-bridge`` standardizes the sum of per-component maxima by the
     closed-form mean and sd of a squared Brownian bridge's maximum over the
     N + 1 points of the CUSUM; ``cvm-sum`` and ``sup-sum`` use their exact
-    null means and variances. None of the three draws anything.
-    One-sided: large values reject, p = P(N(0,1) > statistic).
+    null means and variances. None of the three draws anything; p = P(N(0,1) > statistic).
     """
     if variant not in COROLLARY_VARIANTS:
         raise ConfigurationError(f"unknown corollary variant {variant!r}")
-    stat = float(_statistics(cusum.values, variant, [cusum.d])[0])
-    return TestOutcome(
-        method=variant,
-        statistic=stat,
-        p_value=normal_p_value(stat),
-        d=cusum.d,
-        diagnostics={},
-    )
+    return _changepoint_test(cusum, variant, None, {})
+
+
+def _changepoint_test(cusum: CusumMatrix, method: str, law, diagnostics: dict) -> TestOutcome:
+    """The ``method`` statistic at the CUSUM's d and its p-value from ``_p_values``;
+    ``law`` is cvm2d's and None for the companions."""
+    stat = float(_statistics(cusum.values, method, [cusum.d])[0])
+    return TestOutcome(method, stat, _p_values(method, stat, law), cusum.d, diagnostics)
+
+
+def _p_values(method: str, statistics, law: LimitLaw | None = None):
+    """The one place that picks a test's null: ``law`` for cvm2d, P(N(0, 1) > statistic)
+    for the companions and the two-sample z-score. A scalar gives a float, an array an array."""
+    if method != "cvm2d":
+        return normal_p_value(statistics)
+    if law is None:
+        raise ConfigurationError("cvm2d needs a simulated LimitLaw")
+    return law.p_value(statistics)
 
 
 def estimate_changepoint(cusum: CusumMatrix) -> int:
@@ -319,6 +330,7 @@ def _segmentation_d_list(
     d_tuple = tuple(int(d) for d in d_list)
     if not d_tuple:
         raise ConfigurationError("d_list must not be empty")
+    _require_distinct(d_tuple, "d_list")
     _require_cvm2d_d(d_tuple, name)
     _check_alpha(alpha)
     if min_segment < 8:
@@ -357,7 +369,7 @@ def binary_segmentation(
             return SegmentNode(lo, hi, "degenerate", {})
         cusum = cusum_matrix(compute_scores(segment, eig, max(usable)))
         stats = _statistics(cusum.values, "cvm2d", usable)
-        p_values = dict(zip(usable, law.p_value(stats).tolist()))
+        p_values = dict(zip(usable, _p_values("cvm2d", stats, law).tolist()))
         rejecting = [d for d in usable if p_values[d] < alpha]
         if not rejecting:
             return SegmentNode(lo, hi, "retained", p_values)

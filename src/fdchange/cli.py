@@ -11,7 +11,8 @@ read are the draw settings of a randomized command (``critical-values``,
 Monte Carlo law or replicates): ``--K`` and ``--reps`` (or ``--law-reps``
 of ``simulate``) when a limit law is drawn, then ``--workers``; the
 scenario, and the settings its ``--test`` never reads (``--m`` of a
-change-point test, ``--k-star`` of ``two-sample``); d >= 1 for
+change-point test, ``--k-star`` of ``two-sample`` or of a change-point test
+at ``--a 0``); a repeated ``--d-list`` or ``--alpha`` entry; d >= 1 for
 ``fpca-summary``, ``two-sample`` and the normal-limit methods of
 ``cpt-test``; and d >= 2 for cvm2d and the change-point estimator (both
 sum over strict prefixes of the components, so both are 0 at d = 1). So

@@ -10,7 +10,8 @@ on the same replicate (common random numbers).
 One replicate loop, ``_replicate_statistics``, serves every test and owns no
 rule of its own: a change-point replicate gets its statistics from
 ``changepoint._statistics``, and a two-sample replicate checks its pooled
-components with ``fpca._require_components``, as the single tests do.
+components with ``fpca._require_components``, as the single tests do. The
+p-values of every test come from ``changepoint._p_values``, which picks the null.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import replicate_rngs
-from .changepoint import CHANGEPOINT_TESTS, _require_cvm2d_d, _statistics, sample_cusum
+from .changepoint import CHANGEPOINT_TESTS, _p_values, _require_cvm2d_d, _require_distinct
+from .changepoint import _statistics, sample_cusum
 from .curves import FunctionalSample, Grid
 from .errors import ConfigurationError
 from .fpca import _require_components
-from .limitdist import LimitLaw, normal_p_value
+from .limitdist import LimitLaw
 from .twosample import _projected_statistic, pooled_eigensystem
 
 __all__ = [
@@ -72,6 +74,8 @@ class SimScenario:
             raise ConfigurationError("d_list must contain positive dimensions")
         if not self.alpha_list or not all(0.0 < a <= 1.0 for a in self.alpha_list):
             raise ConfigurationError("alpha_list entries must lie in (0, 1]")
+        _require_distinct(self.d_list, "d_list")
+        _require_distinct(self.alpha_list, "alpha_list")
         if self.k_star is not None and not 1 <= self.k_star < self.n:
             raise ConfigurationError(
                 f"k_star must satisfy 1 <= k_star < n, got {self.k_star}"
@@ -177,11 +181,14 @@ def _replicate_statistics(scenario: SimScenario, test: str) -> np.ndarray:
 
 
 def _check_design(scenario: SimScenario, test: str, d_name: str = "d") -> None:
-    """Refuse an unknown ``test``, a setting that ``test`` never reads (``m``
-    or ``k_star``) and, for cvm2d, a d below 2 (``d_name`` in the error)."""
+    """Refuse an unknown ``test``, a setting that ``test`` never reads (``m``,
+    or ``k_star`` of two-sample or of a null scenario) and, for cvm2d, a d below
+    2 (``d_name`` in the error)."""
     if test in CHANGEPOINT_TESTS:
         if scenario.m is not None:
             raise ConfigurationError(f"m is a second-sample size; {test} draws one sample")
+        if scenario.k_star is not None and scenario.a == 0.0:
+            raise ConfigurationError("k_star is a change point; a null scenario (a = 0) has none")
         if test == "cvm2d":
             _require_cvm2d_d(scenario.d_list, d_name)
     elif test == "two-sample":
@@ -199,19 +206,17 @@ def run_size_power(
     """Estimate rejection probabilities for every (d, alpha) of the scenario.
 
     ``law`` is required for the cvm2d test (simulate it once and reuse it);
-    the normal-limit tests, ``sup-bridge`` included, need nothing drawn
-    beyond the replicates. ``_check_design`` refuses the settings ``test``
-    cannot use. Statistics are computed once per replicate and thresholded
-    at every alpha. A change-point shift (``a != 0``) without a ``k_star``
-    starts after ``n // 2``, which the report's scenario records.
+    ``_p_values`` refuses a missing one after the replicates. The normal-limit
+    tests need nothing drawn beyond them. ``_check_design`` refuses the
+    settings ``test`` cannot use. Statistics are computed once per replicate
+    and thresholded at every alpha. A change-point shift (``a != 0``) without
+    a ``k_star`` starts after ``n // 2``, which the report's scenario records.
     """
     _check_design(scenario, test)
-    if test == "cvm2d" and law is None:
-        raise ConfigurationError("cvm2d needs a simulated LimitLaw")
     if test in CHANGEPOINT_TESTS and scenario.a != 0.0 and scenario.k_star is None:
         scenario = replace(scenario, k_star=scenario.n // 2)
     stats = _replicate_statistics(scenario, test)
-    p_values = law.p_value(stats) if test == "cvm2d" else normal_p_value(stats)
+    p_values = _p_values(test, stats, law)
 
     rows = []
     for j, d in enumerate(scenario.d_list):

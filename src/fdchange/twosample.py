@@ -5,7 +5,8 @@ It is R^T R for the rows R of both samples' centered, weighted curves, the
 first sample's scaled by 1/sqrt(N) and the second's by sqrt(N)/M, so
 ``fpca.eigendecompose`` solves it like a sample covariance. The statistic
 sums squared normalized projections of the mean difference and is compared
-to its normal limit after centering by d and scaling by sqrt(2d).
+to its normal limit after centering by d and scaling by sqrt(2d); that null,
+like every test's, is picked by ``changepoint._p_values``.
 Whether d pooled components exist is decided by ``fpca._require_components``,
 the rule the change-point tests use too.
 """
@@ -14,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .changepoint import TestOutcome
+from .changepoint import TestOutcome, _p_values
 from .curves import FunctionalSample, require_same_grid
 from .fpca import EigenSystem, _require_components, eigendecompose
-from .limitdist import normal_p_value
 
 __all__ = [
     "pooled_eigensystem",
@@ -60,7 +60,7 @@ def two_sample_test(x: FunctionalSample, y: FunctionalSample, d: int) -> TestOut
     return TestOutcome(
         method="two-sample",
         statistic=statistic,
-        p_value=normal_p_value(z),
+        p_value=_p_values("two-sample", z),
         d=d,
         diagnostics={
             "eigenvalues": eig.eigenvalues[:d].copy(),

@@ -1,11 +1,14 @@
 """CUSUM machinery, the integrated-square test, normal-limit companions,
 the change-point estimator, and binary segmentation."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdchange
 from fdchange.changepoint import (
     CHANGEPOINT_TESTS,
     CusumMatrix,
@@ -14,6 +17,7 @@ from fdchange.changepoint import (
     _corollary_statistic,
     _cvm_stats_by_prefix,
     _estimator_curve,
+    _p_values,
     _statistics,
     binary_segmentation,
     corollary_tests,
@@ -26,7 +30,7 @@ from fdchange._rng import replicate_rng
 from fdchange.curves import FunctionalSample, Grid
 from fdchange.errors import ConfigurationError
 from fdchange.fpca import compute_scores, sample_eigensystem
-from fdchange.limitdist import LimitLaw
+from fdchange.limitdist import LimitLaw, normal_p_value
 from fdchange.simulation import _bm_values, generate_bm_sample, inject_shift
 
 from _datasets import MULTI_CHANGE_AFTER, multi_change_sample
@@ -239,6 +243,59 @@ class TestCorollaryStatistics:
         assert outcome.p_value == pytest.approx(norm.sf(outcome.statistic), rel=1e-12)
 
 
+class _PValueCallers(ast.NodeVisitor):
+    """Dotted names of the functions that call ``normal_p_value(...)`` or
+    ``.p_value(...)``; a call outside any function counts as ``<module>``."""
+
+    def __init__(self) -> None:
+        self.scope: list[str] = []
+        self.found: set[str] = set()
+
+    def visit_FunctionDef(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node: ast.Call) -> None:
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in ("normal_p_value", "p_value"):
+            self.found.add(".".join(self.scope) or "<module>")
+        self.generic_visit(node)
+
+
+class TestPValueOwner:
+    """``changepoint._p_values`` alone turns statistics into p-values."""
+
+    @pytest.mark.parametrize("method", CHANGEPOINT_TESTS + ("two-sample",))
+    def test_each_method_reads_its_own_null_bit_for_bit(self, law20k, method):
+        null = law20k.p_value if method == "cvm2d" else normal_p_value
+        scalar = 0.061 if method == "cvm2d" else 1.37
+        got = _p_values(method, scalar, law20k)
+        assert type(got) is float and got == null(scalar)
+        grid = np.linspace(-0.5, 3.0, 12).reshape(3, 4) * (0.05 if method == "cvm2d" else 1.0)
+        got, want = _p_values(method, grid, law20k), null(grid)
+        assert got.shape == grid.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_cvm2d_without_a_law_is_refused(self):
+        with pytest.raises(ConfigurationError, match="cvm2d needs a simulated LimitLaw"):
+            _p_values("cvm2d", 0.1)
+
+    def test_no_other_function_picks_a_null(self):
+        # A second place that maps a method to its null would have to learn
+        # every new null route; the laws' own definitions in limitdist are exempt.
+        callers = set()
+        for path in sorted(Path(fdchange.__file__).parent.glob("*.py")):
+            if path.stem == "limitdist":
+                continue
+            visitor = _PValueCallers()
+            visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+            callers |= {f"{path.stem}.{name}" for name in visitor.found}
+        assert callers == {"changepoint._p_values"}
+
+
 class TestEstimateChangepoint:
     def test_matches_loop_reference(self):
         cusum = bm_cusum(n=30, grid_size=70, d=4, seed=18)
@@ -363,6 +420,8 @@ class TestBinarySegmentation:
             binary_segmentation(sample, (), 0.05, law20k)
         with pytest.raises(ConfigurationError):
             binary_segmentation(sample, (1, 3), 0.05, law20k)
+        with pytest.raises(ConfigurationError, match=r"d_list must not repeat an entry"):
+            binary_segmentation(sample, (3, 3), 0.05, law20k)
         with pytest.raises(ConfigurationError):
             binary_segmentation(sample, (3,), 1.5, law20k)
         with pytest.raises(ConfigurationError):

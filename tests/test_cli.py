@@ -776,11 +776,24 @@ class TestExitCodes:
              "m is a second-sample size; cvm-sum draws one sample"),
             (("simulate", "--n", "20", "--reps", "5", "--m", "7"),
              "m is a second-sample size; cvm2d draws one sample"),
+            (("simulate", "--test", "cvm-sum", "--n", "20", "--grid-size", "30", "--reps", "5",
+              "--k-star", "5"), "k_star is a change point; a null scenario (a = 0) has none"),
+            (("simulate", "--n", "20", "--reps", "5", "--k-star", "5"),
+             "k_star is a change point; a null scenario (a = 0) has none"),
+            (("simulate", "--test", "cvm-sum", "--n", "20", "--grid-size", "30", "--reps", "5",
+              "--d-list", "3,3", "--alpha", "0.05,0.05"),
+             "d_list must not repeat an entry, got (3, 3)"),
+            (("simulate", "--n", "20", "--reps", "5", "--alpha", "0.05,0.1,0.05"),
+             "alpha_list must not repeat an entry, got (0.05, 0.1, 0.05)"),
+            (("segment", "{x}", *RAW, "--d-list", "3,3"),
+             "d_list must not repeat an entry, got (3, 3)"),
         ],
         ids=["cv-reps", "cv-workers", "cpt-reps", "cpt-workers", "segment-reps",
              "segment-workers", "simulate-reps", "simulate-workers", "cpt-d1",
              "simulate-d1", "simulate-a-nan", "simulate-a-inf", "simulate-two-sample-k-star",
-             "simulate-cvm-sum-m", "simulate-cvm2d-m"],
+             "simulate-cvm-sum-m", "simulate-cvm2d-m", "simulate-cvm-sum-null-k-star",
+             "simulate-cvm2d-null-k-star", "simulate-repeated-d", "simulate-repeated-alpha",
+             "segment-repeated-d"],
     )
     def test_bad_draw_settings_are_named_before_the_seed(
         self, capsys, cli_files, monkeypatch, argv, message

@@ -73,6 +73,10 @@ class TestInjectShift:
             inject_shift(base, 1.0, -1)
 
 
+#: How ``_check_design`` refuses the ``k_star`` of a null change-point scenario.
+NULL_K_STAR = r"k_star is a change point; a null scenario \(a = 0\) has none"
+
+
 class TestScenarioValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -85,6 +89,9 @@ class TestScenarioValidation:
             {"n": 100, "d_list": (0,)},
             {"n": 100, "alpha_list": (0.0,)},
             {"n": 100, "alpha_list": (1.2,)},
+            {"n": 100, "d_list": (3, 3)},
+            {"n": 100, "d_list": (3, 5, 3)},
+            {"n": 100, "alpha_list": (0.05, 0.05)},
             {"n": 100, "k_star": 0},
             {"n": 100, "k_star": 100},
             {"n": 100, "a": float("nan")},
@@ -239,15 +246,19 @@ class TestRunSizePower:
         "test, settings, message",
         [
             ("two-sample", {"k_star": 5}, "k_star is a change point; two-sample has none"),
+            ("cvm-sum", {"k_star": 5}, NULL_K_STAR),
+            ("cvm2d", {"k_star": 5}, NULL_K_STAR),
             ("cvm2d", {"m": 7}, "m is a second-sample size; cvm2d draws one sample"),
             ("sup-sum", {"m": 7}, "m is a second-sample size; sup-sum draws one sample"),
         ],
-        ids=["two-sample-k-star", "cvm2d-m", "sup-sum-m"],
+        ids=["two-sample-k-star", "cvm-sum-null-k-star", "cvm2d-null-k-star", "cvm2d-m",
+             "sup-sum-m"],
     )
     def test_settings_the_test_never_reads_are_refused(self, law20k, test, settings, message):
-        # The two-sample design shifts the whole second sample, and a
-        # change-point test draws no second sample: a report must not name
-        # a setting that its test never read.
+        # The two-sample design shifts the whole second sample, a null
+        # change-point scenario (a = 0) injects no shift, and a change-point
+        # test draws no second sample: a report must not name a setting that
+        # its test never read.
         scenario = SimScenario(n=20, grid_size=40, d_list=(3,), reps=4, seed=15, **settings)
         with pytest.raises(ConfigurationError, match=message):
             run_size_power(scenario, test, law=law20k)
